@@ -253,6 +253,31 @@ void BM_WorkloadRound(benchmark::State& state) {
 }
 BENCHMARK(BM_WorkloadRound);
 
+// round_into at the daemon's size (6667 users x 32 services, ~1e5 requests
+// per round at rate scale 1, ~3e5 in a 3x flash round), refilling one
+// reused buffer as simrun::daemon does.
+void BM_WorkloadRoundInto(benchmark::State& state) {
+  ecrs::workload::generator_config cfg;
+  cfg.users = 6667;
+  cfg.microservices = 32;
+  cfg.sensitive_mean = 7.5;
+  cfg.tolerant_mean = 7.5;
+  cfg.regions = 8;
+  ecrs::workload::generator gen(cfg);
+  gen.set_rate_scale(static_cast<double>(state.range(0)));
+  std::vector<ecrs::workload::request> batch;
+  double now = 0.0;
+  for (auto _ : state) {
+    gen.round_into(now, 600.0, batch);
+    benchmark::DoNotOptimize(batch.data());
+    benchmark::ClobberMemory();
+    now += 600.0;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(batch.size()));
+}
+BENCHMARK(BM_WorkloadRoundInto)->Arg(1)->Arg(3)->Unit(benchmark::kMillisecond);
+
 void BM_MaxMinFairShare(benchmark::State& state) {
   ecrs::rng gen(5);
   std::vector<double> demands(static_cast<std::size_t>(state.range(0)));

@@ -3,10 +3,120 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
+#include <utility>
 
 #include "common/check.h"
 
 namespace ecrs::workload {
+namespace {
+
+// floor(k) clamped to [0, count): monotone in k, so buckets never
+// contradict time order. NaN arises only as 0 * inf, when count/length
+// overflows for a tiny window and t equals the window start; bucket 0
+// keeps it ahead of every later time.
+std::size_t clamped_bucket(double k, std::size_t count) {
+  if (!(k > 0.0)) return 0;
+  return k < static_cast<double>(count) ? static_cast<std::size_t>(k)
+                                        : count - 1;
+}
+
+// Resize without ever shrinking: libstdc++ grows geometrically, so warm
+// calls with sizes up to earlier ones reuse the storage.
+template <typename T>
+void grow_to(std::vector<T>& v, std::size_t n) {
+  if (v.size() < n) v.resize(n);
+}
+
+}  // namespace
+
+void arrival_sorter::sort(std::vector<request>& batch, double window_start,
+                          double window_length) {
+  ECRS_CHECK_MSG(window_length > 0.0, "sort window must be positive");
+  const std::size_t n = batch.size();
+  if (n < 2) return;
+  ECRS_CHECK_MSG(n <= std::numeric_limits<std::uint32_t>::max(),
+                 "batch too large to sort: " << n);
+  // Level 1: ~256 requests per coarse bucket; at most 2^16 buckets, so a
+  // bucket key fits the 16-bit key array.
+  const std::size_t buckets =
+      std::clamp<std::size_t>(n / 256, 1, std::size_t{1} << 16);
+  const double scale = static_cast<double>(buckets) / window_length;
+  // Keys match the batch's capacity exactly: they reallocate only when the
+  // batch itself did, and a geometric overshoot would double their memory.
+  if (keys_.size() < batch.capacity()) {
+    keys_ = std::vector<std::uint16_t>(batch.capacity());
+  }
+  grow_to(ends_, buckets);
+  grow_to(cursors_, buckets + 1);
+  std::fill_n(cursors_.begin(), buckets + 1, 0u);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t b = clamped_bucket(
+        (batch[i].arrival_time - window_start) * scale, buckets);
+    keys_[i] = static_cast<std::uint16_t>(b);
+    ++cursors_[b + 1];
+  }
+  // cursors_[b] = first slot of bucket b; ends_[b] = one past its last.
+  for (std::size_t b = 0; b < buckets; ++b) {
+    cursors_[b + 1] += cursors_[b];
+    ends_[b] = cursors_[b + 1];
+  }
+  // American-flag permutation: carry each misplaced request to the next
+  // free slot of its bucket, picking up that slot's request, until the
+  // cycle returns to bucket b. Slots below a cursor are final and never
+  // read again, so their keys need no update.
+  for (std::size_t b = 0; b < buckets; ++b) {
+    while (cursors_[b] < ends_[b]) {
+      const std::uint32_t i = cursors_[b];
+      std::size_t k = keys_[i];
+      if (k != b) {
+        request carry = batch[i];
+        do {
+          const std::uint32_t j = cursors_[k]++;
+          k = keys_[j];
+          std::swap(carry, batch[j]);
+        } while (k != b);
+        batch[i] = carry;
+      }
+      ++cursors_[b];
+    }
+  }
+
+  // Level 2: each coarse bucket (~10 KB) is counting-scattered by a fine
+  // key (one fine bucket per request) into bucket_, then insertion-sorted
+  // back into place; the scatter leaves almost nothing to fix up.
+  std::uint32_t lo = 0;
+  for (std::size_t b = 0; b < buckets; ++b) {
+    const std::uint32_t hi = ends_[b];
+    const std::size_t m = hi - lo;
+    if (m > 1) {
+      const std::size_t fine = std::min<std::size_t>(m, std::size_t{1} << 16);
+      const auto base = static_cast<double>(b);
+      const auto fine_scale = static_cast<double>(fine);
+      grow_to(cursors_, fine + 1);
+      grow_to(bucket_, m);
+      std::fill_n(cursors_.begin(), fine + 1, 0u);
+      for (std::uint32_t i = lo; i < hi; ++i) {
+        const double k = (batch[i].arrival_time - window_start) * scale;
+        const std::size_t f = clamped_bucket((k - base) * fine_scale, fine);
+        keys_[i] = static_cast<std::uint16_t>(f);
+        ++cursors_[f + 1];
+      }
+      for (std::size_t f = 0; f < fine; ++f) cursors_[f + 1] += cursors_[f];
+      for (std::uint32_t i = lo; i < hi; ++i) {
+        bucket_[cursors_[keys_[i]]++] = batch[i];
+      }
+      request* out = batch.data() + lo;
+      for (std::size_t i = 0; i < m; ++i) {
+        const request& x = bucket_[i];
+        std::size_t j = i;
+        for (; j > 0 && arrives_before(x, out[j - 1]); --j) out[j] = out[j - 1];
+        out[j] = x;
+      }
+    }
+    lo = hi;
+  }
+}
 
 generator::generator(generator_config config)
     : config_(config), gen_(config.seed) {
@@ -50,11 +160,6 @@ qos_class generator::class_of(std::uint32_t microservice) const {
   return class_by_service_[microservice];
 }
 
-std::uint32_t generator::region_of(std::uint32_t microservice) const {
-  ECRS_CHECK(microservice < config_.microservices);
-  return microservice % config_.regions;
-}
-
 double generator::mean_demand_of(qos_class cls) const {
   const double override_mean = cls == qos_class::delay_sensitive
                                    ? config_.sensitive_mean_demand
@@ -63,14 +168,9 @@ double generator::mean_demand_of(qos_class cls) const {
 }
 
 double generator::expected_arrivals_per_round() const {
-  std::size_t sensitive = 0;
-  for (qos_class c : class_by_service_) {
-    if (c == qos_class::delay_sensitive) ++sensitive;
-  }
-  const auto tolerant = class_by_service_.size() - sensitive;
   const double users = static_cast<double>(config_.users);
-  return users * (sensitive > 0 ? config_.sensitive_mean : 0.0) +
-         users * (tolerant > 0 ? config_.tolerant_mean : 0.0);
+  return users * (sensitive_ids_.empty() ? 0.0 : config_.sensitive_mean) +
+         users * (tolerant_ids_.empty() ? 0.0 : config_.tolerant_mean);
 }
 
 std::vector<request> generator::round(double round_start, double duration) {
@@ -90,6 +190,10 @@ void generator::round_into(double round_start, double duration,
   const auto want = static_cast<std::size_t>(
       expected + 4.0 * std::sqrt(std::max(expected, 1.0)) + 16.0);
   if (batch.capacity() < want) batch.reserve(want);
+  // Exponential rate of each QoS class's service demand (index = qos).
+  const double demand_rate[2] = {
+      1.0 / mean_demand_of(qos_class::delay_sensitive),
+      1.0 / mean_demand_of(qos_class::delay_tolerant)};
   for (std::uint32_t user = 0; user < config_.users; ++user) {
     // Each user issues a Poisson number of requests per class per round and
     // spreads them over microservices of that class uniformly at random.
@@ -117,20 +221,16 @@ void generator::round_into(double round_start, double duration,
         r.id = next_request_id_++;
         r.user = user;
         r.microservice = target;
-        r.region = region_of(target);
+        r.region = target % config_.regions;
         r.qos = class_by_service_[target];
         r.arrival_time = round_start + gen_.uniform_real(0.0, duration);
-        r.service_demand = gen_.exponential(1.0 / mean_demand_of(r.qos));
+        r.service_demand =
+            gen_.exponential(demand_rate[static_cast<std::size_t>(r.qos)]);
         batch.push_back(r);
       }
     }
   }
-  // Arrival order; delay-sensitive first among (rare) equal timestamps — the
-  // paper gives them priority.
-  std::sort(batch.begin(), batch.end(), [](const request& a, const request& b) {
-    if (a.arrival_time != b.arrival_time) return a.arrival_time < b.arrival_time;
-    return static_cast<int>(a.qos) < static_cast<int>(b.qos);
-  });
+  sorter_.sort(batch, round_start, duration);
 }
 
 void generator::set_rate_scale(double scale) {

@@ -39,8 +39,36 @@ struct generator_config {
   std::uint64_t seed = 42;
 };
 
-// Per-round batch: the requests that arrived during one auction round,
-// sorted by arrival time, delay-sensitive first among equal times (priority).
+// Sorts a batch into arrives_before order with a two-level bucket sort on
+// arrival time. Level 1 permutes the batch in place into ~n/256 coarse
+// buckets over [window_start, window_start + window_length) (an
+// American-flag cycle permutation). Level 2 counting-scatters each coarse
+// bucket by a fine time key into a scratch buffer and insertion-sorts it
+// back into place. Bucket keys are monotone in arrival time, so the result
+// is correct for any finite times. Speed needs the times spread over the
+// window: requests that share a fine bucket (equal timestamps, or times
+// clamped into an end bucket from outside the window) are ordered by the
+// insertion sort alone, which is quadratic in their number.
+//
+// Scratch: a 2-byte key per slot of the batch's capacity plus one coarse
+// bucket (and its fine counters); it grows on demand and never shrinks, so
+// sorting batches no larger than earlier ones allocates nothing.
+class arrival_sorter {
+ public:
+  // Requires window_length > 0.
+  void sort(std::vector<request>& batch, double window_start,
+            double window_length);
+
+ private:
+  std::vector<std::uint16_t> keys_;     // coarse, then fine key per request
+  std::vector<std::uint32_t> ends_;     // one past each coarse bucket
+  std::vector<std::uint32_t> cursors_;  // coarse, then fine bucket heads
+  std::vector<request> bucket_;         // one coarse bucket, fine-scattered
+};
+
+// Per-round batch: the requests that arrived during one auction round, in
+// arrives_before order: arrival time, delay-sensitive first among equal
+// times (the paper's priority), then request id.
 class generator final : public round_source {
  public:
   explicit generator(generator_config config);
@@ -53,10 +81,6 @@ class generator final : public round_source {
 
   // QoS class assigned to each microservice (index = microservice id).
   [[nodiscard]] qos_class class_of(std::uint32_t microservice) const;
-
-  // Edge cloud region hosting a microservice (round-robin over
-  // config.regions; deterministic, no rng involved).
-  [[nodiscard]] std::uint32_t region_of(std::uint32_t microservice) const;
 
   // Generate all requests arriving in [round_start, round_start + duration).
   [[nodiscard]] std::vector<request> round(double round_start,
@@ -96,6 +120,7 @@ class generator final : public round_source {
   // one uniform draw instead of rejection sampling the full id space.
   std::vector<std::uint32_t> sensitive_ids_;
   std::vector<std::uint32_t> tolerant_ids_;
+  arrival_sorter sorter_;
 };
 
 }  // namespace ecrs::workload

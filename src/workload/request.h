@@ -28,4 +28,13 @@ struct request {
   double service_demand = 1.0;      // resource-seconds of work
 };
 
+// The total order of a round batch: arrival time, then delay-sensitive
+// before delay-tolerant at equal times (the paper gives them priority),
+// then request id.
+[[nodiscard]] inline bool arrives_before(const request& a, const request& b) {
+  if (a.arrival_time != b.arrival_time) return a.arrival_time < b.arrival_time;
+  if (a.qos != b.qos) return a.qos < b.qos;
+  return a.id < b.id;
+}
+
 }  // namespace ecrs::workload

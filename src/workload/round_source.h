@@ -28,7 +28,10 @@ class round_source {
 
   // Fill `batch` with the requests arriving in [round_start, round_start +
   // duration), sorted ascending by arrival time. `batch` is cleared first;
-  // implementations should reuse its capacity.
+  // implementations should reuse its capacity. workload::generator emits
+  // the total arrives_before order (arrival time, delay-sensitive first,
+  // then request id), so its batches never depend on how ties were
+  // broken; replay_source serves rounds in their recorded order.
   virtual void round_into(double round_start, double duration,
                           std::vector<request>& batch) = 0;
 

@@ -1,10 +1,12 @@
 // Unit tests for workload arrival processes, the generator, and traces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 
 #include "common/check.h"
+#include "common/checkpoint.h"
 #include "common/rng.h"
 #include "common/statistics.h"
 #include "workload/arrival.h"
@@ -357,6 +359,195 @@ TEST(Generator, CheckpointRestoresStreamBitForBit) {
     EXPECT_EQ(replayed[i].arrival_time, expected[i].arrival_time);
     EXPECT_EQ(replayed[i].service_demand, expected[i].service_demand);
   }
+}
+
+// ------------------------------------------- batch order and golden stream
+
+// Appends every field of every request, doubles as their bit patterns, so
+// two batches are equal byte for byte exactly when their payloads are.
+void fold(ecrs::checkpoint_writer& w, const std::vector<request>& batch) {
+  w.size(batch.size());
+  for (const request& q : batch) {
+    w.u64(q.id);
+    w.u32(q.user);
+    w.u32(q.microservice);
+    w.u32(q.region);
+    w.u8(static_cast<std::uint8_t>(q.qos));
+    w.f64(q.arrival_time);
+    w.f64(q.service_demand);
+  }
+}
+
+std::vector<std::uint8_t> bytes_of(const std::vector<request>& batch) {
+  ecrs::checkpoint_writer w;
+  fold(w, batch);
+  return {w.payload().begin(), w.payload().end()};
+}
+
+// The oracle: std::sort under the same total order.
+std::vector<request> oracle_sorted(std::vector<request> batch) {
+  std::sort(batch.begin(), batch.end(), arrives_before);
+  return batch;
+}
+
+// steady_requests-sized: 6667 users x 15 requests = ~1e5 per round.
+generator_config large_config() {
+  generator_config cfg;
+  cfg.users = 6667;
+  cfg.microservices = 32;
+  cfg.sensitive_mean = 7.5;
+  cfg.tolerant_mean = 7.5;
+  cfg.regions = 8;
+  cfg.seed = 5;
+  return cfg;
+}
+
+// A generator batch is in arrives_before order and holds every request id
+// it drew: the contiguous range after the previous round's.
+void expect_ordered_round(const std::vector<request>& batch,
+                          std::uint64_t first_id) {
+  EXPECT_EQ(bytes_of(batch), bytes_of(oracle_sorted(batch)));
+  std::vector<std::uint64_t> ids;
+  for (const request& r : batch) ids.push_back(r.id);
+  std::sort(ids.begin(), ids.end());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ASSERT_EQ(ids[i], first_id + i);
+  }
+}
+
+TEST(ArrivalSorter, MatchesStdSortOracleAtEverySize) {
+  generator g(large_config());
+  const std::vector<request> round = g.round(600.0, 600.0);
+  ASSERT_GT(round.size(), 90000u);
+  ecrs::rng shuffle(3);
+  arrival_sorter sorter;
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                              std::size_t{17}, round.size()}) {
+    std::vector<request> batch = round;
+    shuffle.shuffle(batch);
+    batch.resize(n);
+    const std::vector<request> expected = oracle_sorted(batch);
+    sorter.sort(batch, 600.0, 600.0);
+    EXPECT_EQ(bytes_of(batch), bytes_of(expected)) << "n = " << n;
+  }
+}
+
+TEST(ArrivalSorter, OrdersEqualTimesByQosThenId) {
+  // Every request at one of three instants: the whole order rests on the
+  // delay-sensitive-first priority and the id tie-break.
+  ecrs::rng draw(11);
+  std::vector<request> batch(3000);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    batch[i].id = i + 1;
+    batch[i].qos = draw.bernoulli(0.5) ? qos_class::delay_sensitive
+                                       : qos_class::delay_tolerant;
+    batch[i].arrival_time = 10.0 + static_cast<double>(draw.uniform_int(0, 2));
+  }
+  draw.shuffle(batch);
+  const std::vector<request> expected = oracle_sorted(batch);
+  arrival_sorter sorter;
+  sorter.sort(batch, 10.0, 3.0);
+  EXPECT_EQ(bytes_of(batch), bytes_of(expected));
+}
+
+TEST(ArrivalSorter, CorrectForTimesOutsideTheWindow) {
+  // The window only sets the bucket grid: times before or past it clamp
+  // into the end buckets, and a window so short that buckets/length
+  // overflows to infinity still sorts.
+  ecrs::rng draw(12);
+  std::vector<request> batch(2000);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    batch[i].id = i + 1;
+    batch[i].arrival_time = draw.uniform_real(-50.0, 150.0);
+  }
+  batch[7].arrival_time = 0.0;  // at the window start: 0 * inf = NaN
+  const std::vector<request> expected = oracle_sorted(batch);
+  arrival_sorter sorter;
+  for (const double length : {100.0, 1e-320}) {
+    std::vector<request> copy = batch;
+    sorter.sort(copy, 0.0, length);
+    EXPECT_EQ(bytes_of(copy), bytes_of(expected)) << "length " << length;
+  }
+  EXPECT_THROW(sorter.sort(batch, 0.0, 0.0), check_error);
+}
+
+TEST(Generator, BatchesMatchOracleAtRateScalesZeroAndThree) {
+  generator g(large_config());
+  std::vector<request> batch;
+  std::uint64_t next_id = 1;
+  double start = 0.0;
+  for (const double scale : {1.0, 0.0, 3.0}) {
+    g.set_rate_scale(scale);
+    g.round_into(start, 600.0, batch);
+    start += 600.0;
+    EXPECT_EQ(batch.empty(), scale == 0.0);
+    expect_ordered_round(batch, next_id);
+    next_id += batch.size();
+  }
+}
+
+TEST(Generator, EmptyClassFallbackBatchesMatchOracle) {
+  for (const double fraction : {0.0, 1.0}) {
+    generator_config cfg;
+    cfg.users = 200;
+    cfg.microservices = 7;
+    cfg.delay_sensitive_fraction = fraction;
+    generator g(cfg);
+    const std::vector<request> batch = g.round(0.0, 60.0);
+    ASSERT_FALSE(batch.empty());
+    expect_ordered_round(batch, 1);
+  }
+}
+
+TEST(Generator, ForcedCollisionWindowOrdersTiesByQosThenId) {
+  // At 1e12 s the float spacing is ~1.2e-4 s, so a 1e-3 s window holds only
+  // ~8 distinct timestamps and almost every request ties with others.
+  generator_config cfg;
+  cfg.users = 150;
+  cfg.microservices = 6;
+  generator g(cfg);
+  const std::vector<request> batch = g.round(1e12, 1e-3);
+  expect_ordered_round(batch, 1);
+  std::size_t qos_ties = 0;
+  std::size_t id_ties = 0;
+  for (std::size_t i = 1; i < batch.size(); ++i) {
+    const request& a = batch[i - 1];
+    const request& b = batch[i];
+    if (a.arrival_time != b.arrival_time) continue;
+    if (a.qos != b.qos) {
+      EXPECT_EQ(a.qos, qos_class::delay_sensitive);
+      ++qos_ties;
+    } else {
+      EXPECT_LT(a.id, b.id);
+      ++id_ties;
+    }
+  }
+  EXPECT_GT(qos_ties, 0u);
+  EXPECT_GT(id_ties, 100u);
+}
+
+// Every field of the first 8 rounds of a fixed ~1e4-request config, folded
+// into one FNV-1a digest. The constant was recorded before the batch sort
+// was replaced, so it pins both the rng draws (and their order) and the
+// order the batch leaves round_into in.
+TEST(Generator, GoldenStreamDigest) {
+  generator_config cfg;
+  cfg.users = 667;
+  cfg.microservices = 32;
+  cfg.sensitive_mean = 7.5;
+  cfg.tolerant_mean = 7.5;
+  cfg.sensitive_mean_demand = 0.5;
+  cfg.tolerant_mean_demand = 2.0;
+  cfg.regions = 4;
+  cfg.seed = 2019;
+  generator g(cfg);
+  ecrs::checkpoint_writer w;
+  std::vector<request> batch;
+  for (int r = 0; r < 8; ++r) {
+    g.round_into(r * 600.0, 600.0, batch);
+    fold(w, batch);
+  }
+  EXPECT_EQ(ecrs::fnv1a64(w.payload()), 0x021ce19ebdd4a8faULL);
 }
 
 }  // namespace
