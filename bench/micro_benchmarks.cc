@@ -29,8 +29,8 @@ ecrs::auction::single_stage_instance make_instance(std::size_t sellers,
   return ecrs::auction::random_instance(cfg, gen);
 }
 
-// Before/after pair: the original eager O(n²·m) selection scan vs the lazy
-// heap that greedy_selection now routes through.
+// Before/after pair: the original eager O(n²·m) selection scan vs the
+// compiled lazy loop that greedy_selection routes through.
 void BM_SsamSelectionEager(benchmark::State& state) {
   const auto inst = make_instance(static_cast<std::size_t>(state.range(0)), 5, 2);
   for (auto _ : state) {
@@ -49,9 +49,8 @@ void BM_SsamSelectionLazy(benchmark::State& state) {
 }
 BENCHMARK(BM_SsamSelectionLazy)->RangeMultiplier(2)->Range(25, 400)->Complexity();
 
-// Selection-only under the full mechanism, per selection_mode: `automatic`
-// resolves runner_up calls to the eager scan (the BENCH_pr2 regression fix),
-// `lazy` forces the heap path the old default used. Same winners either way.
+// The full runner_up mechanism, which selects with the compiled eager scan
+// (the BENCH_pr2 regression fix).
 void BM_SsamRunnerUpAuto(benchmark::State& state) {
   const auto inst = make_instance(static_cast<std::size_t>(state.range(0)), 5, 2);
   for (auto _ : state) {
@@ -59,16 +58,6 @@ void BM_SsamRunnerUpAuto(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SsamRunnerUpAuto)->Arg(100)->Arg(400);
-
-void BM_SsamRunnerUpLazy(benchmark::State& state) {
-  const auto inst = make_instance(static_cast<std::size_t>(state.range(0)), 5, 2);
-  ecrs::auction::ssam_options opts;
-  opts.selection = ecrs::auction::selection_mode::lazy;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ecrs::auction::run_ssam(inst, opts));
-  }
-}
-BENCHMARK(BM_SsamRunnerUpLazy)->Arg(100)->Arg(400);
 
 // Allocation-reuse pair: the same mechanism call with and without a
 // persistent ssam_scratch (what msoa_session and the sweep engine thread
@@ -117,9 +106,10 @@ void BM_SsamCriticalValuePayments(benchmark::State& state) {
 BENCHMARK(BM_SsamCriticalValuePayments)->Arg(10)->Arg(25);
 
 // Before/after pair for the full critical-value mechanism at the paper's
-// largest single-round size (75 sellers × 5 bids): the legacy path (eager
-// rescans, full probe auctions, serial payments) vs the current default
-// (lazy heap, early-exit probes, parallel payments). Both runs are verified
+// largest single-round size (75 sellers × 5 bids): the eager reference
+// (eager rescans, full probe auctions, serial payments) vs the compiled
+// default (lazy loop, trajectory probes, parallel payments). Both runs are
+// verified
 // to produce identical winner sequences and payments (the bisection
 // tolerance is shared) before timing starts.
 const ecrs::auction::single_stage_instance& critical_value_75x5_instance() {

@@ -117,8 +117,7 @@ void msoa_session::run_round(const single_stage_instance& round,
                          static_cast<double>(weight));
   }
 
-  const bool reference =
-      options_.stage.eager_reference || options_.stage.legacy_reference;
+  const bool reference = options_.stage.eager_reference;
   const bool warm = options_.warm_start && !reference && cache_valid_ &&
                     round.requirements.size() == compiled_.demander_count() &&
                     topology_matches(compiled_, round, original_index_);

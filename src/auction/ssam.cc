@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <optional>
-#include <utility>
 
 #include "auction/compiled.h"
 #include "auction/properties.h"
@@ -26,21 +25,37 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr std::size_t kMaxBisectionRounds = 200;
 constexpr double kBisectionAbsoluteFloor = 1e-12;
 
-using entry = std::pair<double, std::size_t>;  // (ratio, bid index)
-
-// Manual min-heap over (ratio, bid index) entries, operating on a borrowed
-// vector so the storage survives across calls. std::priority_queue would
-// force a fresh container per auction.
-ECRS_HOT void heap_push(std::vector<entry>& heap, entry e) {
-  heap.push_back(e);
-  std::push_heap(heap.begin(), heap.end(), std::greater<>{});
-}
-
-ECRS_HOT entry heap_pop(std::vector<entry>& heap) {
-  std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-  const entry top = heap.back();
-  heap.pop_back();
-  return top;
+// The Myerson critical value of a winning bid by bisection between its own
+// price (certified winning) and `hi_probe`, a report so high the bid can
+// only win if it faces no competition at all. `probe(report)` answers "does
+// the bid still win at this report?". The compiled path and the eager
+// reference differ only in how they answer it, so both run this one probe
+// sequence and produce bit-identical payments when their verdicts agree.
+template <typename Probe>
+double bisect_critical_value(double own_price, double hi_probe,
+                             double relative_eps, Probe&& probe) {
+  ECRS_CHECK_MSG(relative_eps > 0.0 && relative_eps < 1.0,
+                 "bisection tolerance must be in (0, 1)");
+  ECRS_CHECK_MSG(probe(own_price),
+                 "critical value requested for a losing bid");
+  if (probe(hi_probe)) {
+    // No competition can displace this bid: pay-as-bid fallback.
+    return own_price;
+  }
+  double lo = own_price;  // certified winning
+  double hi = hi_probe;   // certified losing
+  for (std::size_t round = 0;
+       round < kMaxBisectionRounds && hi - lo > relative_eps * hi &&
+       hi - lo > kBisectionAbsoluteFloor;
+       ++round) {
+    const double mid = 0.5 * (lo + hi);
+    if (probe(mid)) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
 }
 
 // Cost-effectiveness of a bid given the current coverage state; infinite
@@ -53,38 +68,15 @@ ECRS_HOT double ratio_of(const bid& b, double price,
   return price / static_cast<double>(utility_out);
 }
 
-seller_id max_seller_of(const single_stage_instance& instance) {
+// Max seller id + 1 (0 without bids): the per-seller liveness row size.
+std::size_t seller_slots_of(const single_stage_instance& instance) {
+  if (instance.bids.empty()) return 0;
   seller_id max_seller = 0;
   for (const bid& b : instance.bids) {
     max_seller = std::max(max_seller, b.seller);
   }
-  return max_seller;
+  return static_cast<std::size_t>(max_seller) + 1;
 }
-
-std::size_t seller_slots_of(const single_stage_instance& instance) {
-  return instance.bids.empty()
-             ? 0
-             : static_cast<std::size_t>(max_seller_of(instance)) + 1;
-}
-
-// Read-only probe context shared by every bisection probe of one instance
-// on the bid-vector reference paths: the empty-state utilities plus all
-// contributing bids pre-sorted by (initial ratio, bid index) — exactly the
-// order a fresh lazy heap would pop them in. The compiled path gets the
-// same thing for free from compiled_instance::order().
-struct probe_seed {
-  std::vector<units> initial_utilities;
-  std::vector<entry> entries;  // ascending
-  std::size_t seller_slots = 0;  // max seller id + 1
-};
-
-// Mutable per-probe workspace (one per concurrently running probe) for the
-// bid-vector reference probes.
-struct probe_scratch {
-  coverage_state state;
-  std::vector<char> seller_active;
-  std::vector<entry> requeued;  // min-heap storage
-};
 
 // One step of a winner's probe trajectory: the competing bid the greedy
 // selects at this step when the probed bid never wins, with its exact
@@ -97,13 +89,6 @@ struct probe_step {
   std::uint32_t idx = 0;     // its bid row (the (ratio, idx) tie-break)
   units probed_utility = 0;  // U_i(E) before this selection
   bool collision = false;    // competitor shares the probed bid's seller
-};
-
-// Mutable workspace for a full compiled probe replay (wins_with_price).
-struct compiled_probe_scratch {
-  compiled_state state;
-  std::vector<char> seller_active;
-  std::vector<compiled_entry> requeued;  // min-heap storage
 };
 
 // Per-winner critical-value workspace, carved from the calling thread's
@@ -138,21 +123,16 @@ ECRS_HOT probe_slot carve_probe_slot(arena& a, const compiled_instance& c) {
 
 }  // namespace
 
-// Every buffer the selection loops and payment probes touch, grown on
-// demand and reused across calls. The per-winner probe slots make the
-// parallel payment fan-out safe with a single scratch: worker `pos` only
-// touches probes[pos] (reference paths) or its arena-carved probe_slot
-// (compiled path — see probe_slot above; those buffers live in the calling
-// thread's bump arena, not here, so a scratch that migrates between
-// threads never drags another thread's arena memory along).
+// Every buffer the selection loops touch, grown on demand and reused
+// across calls. The per-winner critical-value probe slots are not here:
+// they live in the calling thread's bump arena (see probe_slot above), so
+// a scratch that migrates between threads never drags another thread's
+// arena memory along.
 struct ssam_scratch::impl {
-  // Bid-vector reference paths.
-  coverage_state state;             // selection loops
-  std::vector<char> active;         // eager loop: per-bid liveness
-  std::vector<char> seller_active;  // both loops: per-seller liveness
-  std::vector<entry> heap;          // lazy loop storage
-  probe_seed seed;                  // shared by all critical-value probes
-  std::vector<probe_scratch> probes;  // one slot per winner position
+  // Bid-vector eager reference.
+  coverage_state state;             // selection loop
+  std::vector<char> active;         // per-bid liveness
+  std::vector<char> seller_active;  // per-seller liveness
   coverage_state replay;            // feasibility re-check
   // Compiled path.
   compiled_instance compiled;            // compile-on-entry shim target
@@ -174,18 +154,16 @@ ssam_scratch::impl& ssam_scratch::buffers() { return *impl_; }
 namespace {
 
 // ---------------------------------------------------------------------------
-// Bid-vector reference loops (eager_reference / legacy_reference). Both
-// greedy loops share one callback contract. `price_override` (optional,
-// `override_index == bids.size()` disables it) replaces the price of one bid
-// for critical-value probing. Each selection is reported through `on_win`,
-// which may inspect the candidate set via the provided coverage state and
-// `seller_active` vector (indexed by seller id — a bid is a candidate iff
-// its seller is active, constraint (9)) and returns false to veto the
-// selection and stop the auction (budget exhaustion, probe early exit).
-
-// Reference implementation: full O(n·m) rescan of every active bid per
-// selection, with the original per-bid deactivation sweep. Its cost profile
-// IS the eager baseline the benchmarks compare against.
+// Bid-vector eager reference loop (eager_reference): full O(n·m) rescan of
+// every active bid per selection, with the original per-bid deactivation
+// sweep. Its cost profile IS the eager baseline the benchmarks compare
+// against. `override_index` (== bids.size() disables it) replaces the price
+// of one bid with `override_price` for critical-value probing. Each
+// selection is reported through `on_win`, which may inspect the candidate
+// set via the provided coverage state and `seller_active` vector (indexed
+// by seller id — a bid is a candidate iff its seller is active, constraint
+// (9)) and returns false to veto the selection and stop the auction (budget
+// exhaustion).
 template <typename OnWin>
 ECRS_HOT void eager_greedy_loop(const single_stage_instance& instance,
                        ssam_scratch::impl& ws, std::size_t override_index,
@@ -235,266 +213,27 @@ ECRS_HOT void eager_greedy_loop(const single_stage_instance& instance,
   }
 }
 
-// The PR 3 lazy path: lazy evaluation on a min-heap of (stale ratio, bid
-// index). U_ij(E) is submodular — coverage only grows, so marginal
-// utilities only shrink and a bid's stale ratio is a LOWER bound on its
-// current ratio. A popped bid whose fresh ratio is still no worse than the
-// next stale key is therefore a true minimum; the index tie-break
-// reproduces the eager scan's deterministic ordering bit-for-bit.
-template <typename OnWin>
-ECRS_HOT void lazy_greedy_loop(const single_stage_instance& instance,
-                      ssam_scratch::impl& ws, std::size_t override_index,
-                      double override_price, OnWin&& on_win) {
-  const std::size_t nbids = instance.bids.size();
-  coverage_state& state = ws.state;
-  state.reset(instance.requirements);
-  ws.seller_active.assign(seller_slots_of(instance), 1);
-
-  auto price_of = [&](std::size_t idx) {
-    return idx == override_index ? override_price : instance.bids[idx].price;
-  };
-
-  std::vector<entry>& heap = ws.heap;
-  heap.clear();
-  for (std::size_t idx = 0; idx < nbids; ++idx) {
-    units utility = 0;
-    const double ratio =
-        ratio_of(instance.bids[idx], price_of(idx), state, utility);
-    if (ratio != kInf) heap.emplace_back(ratio, idx);
-  }
-  std::make_heap(heap.begin(), heap.end(), std::greater<>{});
-
-  while (!state.satisfied() && !heap.empty()) {
-    const auto [stale_ratio, idx] = heap_pop(heap);
-    if (!ws.seller_active[instance.bids[idx].seller]) continue;
-    units utility = 0;
-    const double ratio =
-        ratio_of(instance.bids[idx], price_of(idx), state, utility);
-    if (ratio == kInf) continue;  // no longer contributes
-    // Select only if still no worse than the next candidate's (lower-bound)
-    // key; ties go to the smaller index, exactly like the eager scan.
-    if (!heap.empty()) {
-      const auto& [next_ratio, next_idx] = heap.front();
-      if (ratio > next_ratio || (ratio == next_ratio && idx > next_idx)) {
-        heap_push(heap, {ratio, idx});
-        continue;
-      }
-    }
-
-    if (!on_win(idx, utility, ratio, state, ws.seller_active)) break;
-
-    state.apply(instance.bids[idx]);
-    ws.seller_active[instance.bids[idx].seller] = 0;
-  }
-}
-
-template <typename OnWin>
-ECRS_HOT void greedy_loop(const single_stage_instance& instance,
-                          ssam_scratch::impl& ws,
-                 bool eager, std::size_t override_index, double override_price,
-                 OnWin&& on_win) {
-  if (eager) {
-    eager_greedy_loop(instance, ws, override_index, override_price,
-                      std::forward<OnWin>(on_win));
-  } else {
-    lazy_greedy_loop(instance, ws, override_index, override_price,
-                     std::forward<OnWin>(on_win));
-  }
-}
-
-// Rebuild the shared probe context in `seed`, reusing its storage. The
-// empty-state marginal utility is evaluated against a freshly reset
-// coverage state (borrowed from the caller), where U_ij(∅) is exactly the
-// marginal utility.
-ECRS_HOT void build_probe_seed(const single_stage_instance& instance,
-                               probe_seed& seed, coverage_state& state) {
-  state.reset(instance.requirements);
-  seed.initial_utilities.clear();
-  seed.initial_utilities.reserve(instance.bids.size());
-  seed.entries.clear();
-  seed.entries.reserve(instance.bids.size());
-  for (std::size_t idx = 0; idx < instance.bids.size(); ++idx) {
-    const bid& b = instance.bids[idx];
-    const units utility = state.marginal_utility(b);
-    seed.initial_utilities.push_back(utility);
-    if (utility > 0) {
-      seed.entries.emplace_back(b.price / static_cast<double>(utility), idx);
-    }
-  }
-  std::sort(seed.entries.begin(), seed.entries.end());
-  seed.seller_slots = seller_slots_of(instance);
-}
-
-// Lazy probe with early exit: does `bid_index` win when reporting
-// `price_report`? Same selection rule as lazy_greedy_loop, but the candidate
-// heap is split into three sources so nothing O(n) is rebuilt per probe:
-//  - the shared pre-sorted seed, consumed through a cursor (stale initial
-//    keys — lower bounds by submodularity);
-//  - a small heap of entries that were popped and re-keyed this probe;
-//  - one slot for the probed bid (its key uses the overridden price, so it
-//    cannot live in the shared seed).
-// Taking the (key, index)-lexicographic minimum over the three heads is
-// equivalent to popping one heap holding all of them, so the selection
-// sequence — and therefore the win/lose verdict — matches the generic loops
-// bit for bit. The probe exits the moment the verdict is decided: the
-// probed bid is selected (win), its marginal utility hits zero (it can
-// never be selected later — loss), or its seller wins through another bid
-// (constraint (9) — loss).
-ECRS_HOT bool lazy_probe_wins(const single_stage_instance& instance,
-                              const probe_seed& seed, probe_scratch& ws,
-                              std::size_t bid_index, double price_report) {
-  const units probed_utility = seed.initial_utilities[bid_index];
-  if (probed_utility <= 0) return false;  // contributes nothing, never wins
-  const seller_id probed_seller = instance.bids[bid_index].seller;
-
-  coverage_state& state = ws.state;
-  state.reset(instance.requirements);
-  ws.seller_active.assign(seed.seller_slots, 1);
-  std::vector<entry>& requeued = ws.requeued;
-  requeued.clear();
-
-  std::size_t cursor = 0;
-  double probed_key = price_report / static_cast<double>(probed_utility);
-  bool probed_pending = true;
-
-  // Position the three heads on live candidates. The probed bid's seed
-  // entry is skipped (the slot represents it); entries of deactivated
-  // sellers are dead forever and are consumed/popped.
-  auto skim = [&] {
-    while (cursor < seed.entries.size() &&
-           (seed.entries[cursor].second == bid_index ||
-            !ws.seller_active[instance.bids[seed.entries[cursor].second]
-                                  .seller])) {
-      ++cursor;
-    }
-    while (!requeued.empty() &&
-           !ws.seller_active[instance.bids[requeued.front().second].seller]) {
-      heap_pop(requeued);
-    }
-  };
-  // Minimum (key, index) over the three heads; false if all exhausted.
-  auto peek = [&](entry& out) {
-    bool found = false;
-    if (cursor < seed.entries.size()) {
-      out = seed.entries[cursor];
-      found = true;
-    }
-    if (!requeued.empty() && (!found || requeued.front() < out)) {
-      out = requeued.front();
-      found = true;
-    }
-    if (probed_pending) {
-      const entry probed{probed_key, bid_index};
-      if (!found || probed < out) {
-        out = probed;
-        found = true;
-      }
-    }
-    return found;
-  };
-
-  while (!state.satisfied()) {
-    skim();
-    entry head;
-    if (!peek(head)) return false;  // nothing helps: auction ends, bid lost
-    const std::size_t idx = head.second;
-    // Pop the head from its source.
-    if (idx == bid_index) {
-      probed_pending = false;
-    } else if (cursor < seed.entries.size() &&
-               seed.entries[cursor].second == idx) {
-      ++cursor;
-    } else {
-      heap_pop(requeued);
-    }
-
-    units utility = 0;
-    const double price =
-        idx == bid_index ? price_report : instance.bids[idx].price;
-    const double ratio = ratio_of(instance.bids[idx], price, state, utility);
-    if (ratio == kInf) {
-      // No longer contributes. For the probed bid this is terminal: its
-      // marginal utility can only shrink further (submodularity).
-      if (idx == bid_index) return false;
-      continue;
-    }
-    entry next;
-    if (peek(next) &&
-        (ratio > next.first || (ratio == next.first && idx > next.second))) {
-      if (idx == bid_index) {
-        probed_key = ratio;
-        probed_pending = true;
-      } else {
-        heap_push(requeued, {ratio, idx});
-      }
-      continue;
-    }
-
-    // Selected.
-    if (idx == bid_index) return true;
-    if (instance.bids[idx].seller == probed_seller) return false;
-    state.apply(instance.bids[idx]);
-    ws.seller_active[instance.bids[idx].seller] = 0;
-  }
-  return false;  // requirements met without the probed bid
-}
-
-// Generic probe core (both reference loop flavours). With `early_exit`, the
-// replayed auction stops the moment the verdict is decided: the probed bid
-// was selected (won), or another bid of the same seller was selected, which
-// deactivates the probed bid for the rest of the round (lost). Allocates
-// its own workspace — this is the eager reference path, not the hot one.
-bool wins_with_price_impl(const single_stage_instance& instance,
-                          std::size_t bid_index, double price_report,
-                          bool eager, bool early_exit) {
+// Full-replay probe (the eager reference): does `bid_index` win the whole
+// replayed auction when it reports `price_report`? Allocates its own
+// workspace — this is the reference path, not the hot one.
+bool eager_wins_with_price(const single_stage_instance& instance,
+                           std::size_t bid_index, double price_report) {
   ssam_scratch local;
-  const seller_id probed_seller = instance.bids[bid_index].seller;
   bool won = false;
-  greedy_loop(instance, local.buffers(), eager, bid_index, price_report,
-              [&](std::size_t idx, units, double, const coverage_state&,
-                  const std::vector<char>&) {
-                if (idx == bid_index) {
-                  won = true;
-                  return !early_exit;
-                }
-                if (early_exit &&
-                    instance.bids[idx].seller == probed_seller) {
-                  return false;  // constraint (9) bars the probed bid now
-                }
-                return true;
-              });
+  eager_greedy_loop(instance, local.buffers(), bid_index, price_report,
+                    [&](std::size_t idx, units, double, const coverage_state&,
+                        const std::vector<char>&) {
+                      if (idx == bid_index) won = true;
+                      return true;
+                    });
   return won;
 }
 
-// When `seed` is non-null the probes run through `lazy_probe_wins` (with
-// `probe_ws` as workspace); otherwise the generic loop selected by `eager`
-// replays the full auction per probe (the eager reference).
-double critical_value_payment_impl(const single_stage_instance& instance,
-                                   std::size_t bid_index, double relative_eps,
-                                   bool eager, const probe_seed* seed,
-                                   probe_scratch* probe_ws) {
+// Reference critical-value bisection: every probe replays the full eager
+// auction.
+double eager_critical_value(const single_stage_instance& instance,
+                            std::size_t bid_index, double relative_eps) {
   ECRS_CHECK(bid_index < instance.bids.size());
-  ECRS_CHECK_MSG(relative_eps > 0.0 && relative_eps < 1.0,
-                 "bisection tolerance must be in (0, 1)");
-  probe_seed local_seed;
-  probe_scratch local_ws;
-  if (!eager && seed == nullptr) {
-    build_probe_seed(instance, local_seed, local_ws.state);
-    seed = &local_seed;
-  }
-  if (probe_ws == nullptr) probe_ws = &local_ws;
-  auto probe = [&](double report) {
-    return seed != nullptr
-               ? lazy_probe_wins(instance, *seed, *probe_ws, bid_index, report)
-               : wins_with_price_impl(instance, bid_index, report, eager,
-                                      /*early_exit=*/false);
-  };
-  const double own_price = instance.bids[bid_index].price;
-  ECRS_CHECK_MSG(probe(own_price),
-                 "critical value requested for a losing bid");
-
-  // Upper probe: a report so high the bid can only win if it faces no
-  // competition at all.
   double max_price = 1.0;
   units total_supply = 0;
   for (const bid& b : instance.bids) {
@@ -503,43 +242,18 @@ double critical_value_payment_impl(const single_stage_instance& instance,
   }
   const double hi_probe =
       (max_price + 1.0) * static_cast<double>(std::max<units>(total_supply, 1));
-  if (probe(hi_probe)) {
-    // No competition can displace this bid: pay-as-bid fallback.
-    return own_price;
-  }
-
-  double lo = own_price;  // certified winning
-  double hi = hi_probe;   // certified losing
-  for (std::size_t round = 0;
-       round < kMaxBisectionRounds && hi - lo > relative_eps * hi &&
-       hi - lo > kBisectionAbsoluteFloor;
-       ++round) {
-    const double mid = 0.5 * (lo + hi);
-    if (probe(mid)) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-// Resolve an options struct to "run the selection loop eagerly?".
-bool eager_selection_of(const ssam_options& options) {
-  if (options.eager_reference) return true;
-  switch (options.selection) {
-    case selection_mode::eager: return true;
-    case selection_mode::lazy: return false;
-    case selection_mode::automatic:
-      // No probes to amortize the lazy heap against → eager's lower
-      // constant wins (see BENCH_pr3.json for the measured crossover).
-      return options.rule != payment_rule::critical_value;
-  }
-  return false;
+  return bisect_critical_value(
+      instance.bids[bid_index].price, hi_probe, relative_eps,
+      [&](double report) {
+        return eager_wins_with_price(instance, bid_index, report);
+      });
 }
 
 // ---------------------------------------------------------------------------
-// Compiled selection loops. Same callback contract as the reference loops
+// Compiled selection loops. Which one runs is a fixed function of the
+// payment rule: eager under runner_up, lazy under critical_value (the
+// measured crossover of BENCH_pr3.json). Both produce the same winner
+// sequence bit for bit. Same callback contract as the reference loop
 // except the coverage view passed to `on_win` is a `utility_of` callable
 // returning the bid's exact current U_ij(E) (O(1) from the eager loop's
 // scored state, O(|coverage|) from the lazy loop's compiled state), plus a
@@ -581,12 +295,12 @@ ECRS_HOT void compiled_eager_loop(const compiled_instance& c,
   }
 }
 
-// Lazy: the two-source candidate merge of compiled_probe_wins, without the
-// probed-bid slot. The pre-sorted order() is consumed through a cursor —
-// its keys are the bids' initial ratios, lower bounds by submodularity, so
-// advancing the cursor replaces an O(log n) heap pop with a pointer bump —
-// and bids whose exact recomputed ratio no longer beats the next head are
-// re-keyed into a small requeue heap (a bid lives in exactly one source).
+// Lazy: a two-source candidate merge. The pre-sorted order() is consumed
+// through a cursor — its keys are the bids' initial ratios, lower bounds by
+// submodularity, so advancing the cursor replaces an O(log n) heap pop with
+// a pointer bump — and bids whose exact recomputed ratio no longer beats
+// the next head are re-keyed into a small requeue heap (a bid lives in
+// exactly one source).
 // Taking the (key, idx)-lexicographic minimum over the two heads is
 // equivalent to popping one heap holding all entries, so the selection
 // sequence matches the eager scan bit for bit.
@@ -664,108 +378,6 @@ ECRS_HOT void compiled_lazy_loop(const compiled_instance& c,
   }
 }
 
-// Compiled port of lazy_probe_wins: identical three-source candidate merge
-// and early exits, with the shared seed and all per-bid lookups served by
-// the compiled view (no per-call seed build, no pointer chasing into the
-// bid table).
-ECRS_HOT bool compiled_probe_wins(const compiled_instance& c,
-                                  compiled_probe_scratch& ws,
-                                  std::size_t bid_index, double price_report) {
-  const units probed_utility = c.initial_utility(bid_index);
-  if (probed_utility <= 0) return false;  // contributes nothing, never wins
-  const seller_id probed_seller = c.seller(bid_index);
-
-  compiled_state& state = ws.state;
-  state.reset(c);
-  ws.seller_active.assign(c.seller_slots(), 1);
-  std::vector<compiled_entry>& requeued = ws.requeued;
-  requeued.clear();
-
-  const std::vector<compiled_entry>& seed = c.order();
-  std::size_t cursor = 0;
-  double probed_key = price_report / static_cast<double>(probed_utility);
-  bool probed_pending = true;
-
-  auto skim = [&] {
-    while (cursor < seed.size() &&
-           (seed[cursor].idx == bid_index ||
-            !ws.seller_active[seed[cursor].seller])) {
-      ++cursor;
-    }
-    while (!requeued.empty() && !ws.seller_active[requeued.front().seller]) {
-      std::pop_heap(requeued.begin(), requeued.end(), entry_greater{});
-      requeued.pop_back();
-    }
-  };
-  auto peek = [&](compiled_entry& out) {
-    bool found = false;
-    if (cursor < seed.size()) {
-      out = seed[cursor];
-      found = true;
-    }
-    if (!requeued.empty() && (!found || entry_less(requeued.front(), out))) {
-      out = requeued.front();
-      found = true;
-    }
-    if (probed_pending) {
-      const compiled_entry probed{probed_key,
-                                  static_cast<std::uint32_t>(bid_index),
-                                  probed_seller};
-      if (!found || entry_less(probed, out)) {
-        out = probed;
-        found = true;
-      }
-    }
-    return found;
-  };
-
-  while (!state.satisfied()) {
-    skim();
-    compiled_entry head;
-    if (!peek(head)) return false;  // nothing helps: auction ends, bid lost
-    const std::size_t idx = head.idx;
-    // Pop the head from its source.
-    if (idx == bid_index) {
-      probed_pending = false;
-    } else if (cursor < seed.size() && seed[cursor].idx == idx) {
-      ++cursor;
-    } else {
-      std::pop_heap(requeued.begin(), requeued.end(), entry_greater{});
-      requeued.pop_back();
-    }
-
-    const units utility = state.marginal_utility(c, idx);
-    if (utility <= 0) {
-      // No longer contributes. For the probed bid this is terminal: its
-      // marginal utility can only shrink further (submodularity).
-      if (idx == bid_index) return false;
-      continue;
-    }
-    const double price = idx == bid_index ? price_report : c.price(idx);
-    const double ratio = price / static_cast<double>(utility);
-    compiled_entry next;
-    if (peek(next) &&
-        (ratio > next.key || (ratio == next.key && idx > next.idx))) {
-      if (idx == bid_index) {
-        probed_key = ratio;
-        probed_pending = true;
-      } else {
-        requeued.push_back({ratio, static_cast<std::uint32_t>(idx),
-                            head.seller});
-        std::push_heap(requeued.begin(), requeued.end(), entry_greater{});
-      }
-      continue;
-    }
-
-    // Selected.
-    if (idx == bid_index) return true;
-    if (head.seller == probed_seller) return false;
-    state.apply(c, idx);
-    ws.seller_active[head.seller] = 0;
-  }
-  return false;  // requirements met without the probed bid
-}
-
 // Record the probe trajectory for one winner: the greedy selection sequence
 // with the probed bid excluded, each step carrying the selected competitor's
 // exact (ratio, idx) and the probed bid's marginal utility entering the
@@ -815,9 +427,9 @@ ECRS_HOT void build_probe_trajectory(const compiled_instance& c,
 }
 
 // Does the probed bid win at report p, resolved against the precomputed
-// trajectory? Identical verdicts to a full replay (compiled_probe_wins):
-// both decide "is the bid ever selected by the exact greedy", this one in
-// O(|steps|).
+// trajectory? Identical verdicts to a full replay of the auction at that
+// report: both decide "is the bid ever selected by the exact greedy", this
+// one in O(|steps|).
 ECRS_HOT bool trajectory_probe_wins(const probe_slot& slot,
                                     std::size_t bid_index, double report) {
   const auto probed_idx = static_cast<std::uint32_t>(bid_index);
@@ -832,51 +444,24 @@ ECRS_HOT bool trajectory_probe_wins(const probe_slot& slot,
   return slot.end_probed_utility > 0;    // last useful bid wins at any price
 }
 
-// Compiled critical-value bisection: same bounds, same probe sequence, same
-// arithmetic as the reference — the upper probe reuses the compile-time
-// price bound and total supply instead of re-scanning the bids, and every
-// probe resolves against the winner's precomputed trajectory instead of
-// replaying the auction (bit-identical verdicts, so bit-identical
-// payments).
+// Compiled critical-value bisection: the same bounds as the reference —
+// the upper probe reuses the compile-time price bound and total supply
+// instead of re-scanning the bids — and every probe resolves against the
+// winner's precomputed trajectory instead of replaying the auction
+// (bit-identical verdicts, so bit-identical payments).
 ECRS_HOT double compiled_critical_value(const compiled_instance& c,
                                         std::size_t bid_index,
                                         double relative_eps,
                                         probe_slot& slot) {
   ECRS_CHECK(bid_index < c.bid_count());
-  ECRS_CHECK_MSG(relative_eps > 0.0 && relative_eps < 1.0,
-                 "bisection tolerance must be in (0, 1)");
   build_probe_trajectory(c, slot, bid_index);
-  auto probe = [&](double report) {
-    return trajectory_probe_wins(slot, bid_index, report);
-  };
-  const double own_price = c.price(bid_index);
-  ECRS_CHECK_MSG(probe(own_price),
-                 "critical value requested for a losing bid");
-
-  // Upper probe: a report so high the bid can only win if it faces no
-  // competition at all.
   const double hi_probe =
       (c.price_bound() + 1.0) *
       static_cast<double>(std::max<units>(c.total_supply(), 1));
-  if (probe(hi_probe)) {
-    // No competition can displace this bid: pay-as-bid fallback.
-    return own_price;
-  }
-
-  double lo = own_price;  // certified winning
-  double hi = hi_probe;   // certified losing
-  for (std::size_t round = 0;
-       round < kMaxBisectionRounds && hi - lo > relative_eps * hi &&
-       hi - lo > kBisectionAbsoluteFloor;
-       ++round) {
-    const double mid = 0.5 * (lo + hi);
-    if (probe(mid)) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
+  return bisect_critical_value(
+      c.price(bid_index), hi_probe, relative_eps, [&](double report) {
+        return trajectory_probe_wins(slot, bid_index, report);
+      });
 }
 
 // Reset a (possibly reused) result to its default state, keeping the
@@ -895,6 +480,112 @@ void reset_result(ssam_result& out) {
   out.dual_objective = 0.0;
 }
 
+// Does selection need the in-loop runner-up estimate? It is the payment
+// under runner_up and the budget gate's charge under any rule.
+bool needs_runner_up(const ssam_options& options) {
+  return options.rule == payment_rule::runner_up ||
+         options.payment_budget > 0.0;
+}
+
+// Accept (or veto) one greedy selection — Algorithm 1 lines 6-7 plus the
+// budget gate, shared by both mechanism bodies. `runner_ratio` is the best
+// competing ratio among bids of *other* sellers still active (kInf if
+// none); it is only read when needs_runner_up(options). Returns false when
+// paying the estimate would exceed W, which stops the auction (paper §IV).
+bool accept_win(const ssam_options& options, std::size_t idx, units utility,
+                double ratio, double price, double runner_ratio,
+                double& budget_spent, ssam_result& result) {
+  double estimate = price;
+  if (needs_runner_up(options)) {
+    if (runner_ratio != kInf) {
+      estimate = static_cast<double>(utility) * runner_ratio;
+    }
+    // Line 7 pays U·(runner ratio); the winner was selected because its
+    // own ratio is minimal, so payment >= price always.
+    estimate = std::max(estimate, price);
+  }
+  if (options.payment_budget > 0.0 &&
+      budget_spent + estimate > options.payment_budget) {
+    return false;  // W depleted: stop the auction here (paper §IV)
+  }
+  budget_spent += estimate;
+
+  winning_bid w;
+  w.bid_index = idx;
+  w.utility_at_selection = utility;
+  w.ratio_at_selection = ratio;
+  if (options.rule == payment_rule::runner_up) w.payment = estimate;
+
+  // Theorem 3 accounting: the winning price is distributed over the
+  // `utility` covered units as equal shares f = ratio.
+  for (units u = 0; u < utility; ++u) {
+    result.unit_shares.push_back(ratio);
+  }
+
+  result.winners.push_back(w);
+  result.social_cost += price;
+  return true;
+}
+
+// Fill every winner's critical-value payment. Each payment is an
+// independent pure probe of the instance, so they run concurrently; each
+// worker writes only its own winner's slot, so the outcome is identical
+// for any thread count.
+template <typename PayOne>
+void pay_winners(const ssam_options& options, std::size_t nwinners,
+                 PayOne&& pay_one) {
+  if (options.payment_threads == 1 || nwinners < 2) {
+    for (std::size_t pos = 0; pos < nwinners; ++pos) {
+      pay_one(pos);
+    }
+  } else {
+    thread_pool::shared().parallel_for(nwinners, pay_one,
+                                       options.payment_threads);
+  }
+}
+
+// Budget re-verification: the in-loop gate only saw runner-up ESTIMATES;
+// the actual critical-value payments can exceed them. Drop trailing
+// winners (reverse selection order) until the realized total respects W;
+// the caller's feasibility replay then re-certifies the surviving set
+// (paper §IV budget feasibility).
+template <typename PriceOf>
+void enforce_payment_budget(double budget, PriceOf&& price_of,
+                            ssam_result& result) {
+  double total = 0.0;
+  for (const winning_bid& w : result.winners) total += w.payment;
+  while (!result.winners.empty() && total > budget) {
+    const winning_bid& last = result.winners.back();
+    total -= last.payment;
+    result.unit_shares.resize(
+        result.unit_shares.size() -
+        static_cast<std::size_t>(last.utility_at_selection));
+    result.winners.pop_back();
+    ++result.budget_dropped;
+  }
+  if (result.budget_dropped > 0) {
+    result.social_cost = 0.0;
+    for (const winning_bid& w : result.winners) {
+      result.social_cost += price_of(w.bid_index);
+    }
+  }
+}
+
+// Total payment and the Theorem 3 dual certificate of a finished result.
+void finish_result(ssam_result& result) {
+  for (const winning_bid& w : result.winners) {
+    result.total_payment += w.payment;
+  }
+  if (!result.unit_shares.empty()) {
+    const auto [lo_it, hi_it] = std::minmax_element(
+        result.unit_shares.begin(), result.unit_shares.end());
+    result.xi = *lo_it > 0.0 ? *hi_it / *lo_it : 1.0;
+  }
+  result.harmonic = harmonic_number(result.unit_shares.size());
+  result.ratio_bound = std::max(1.0, result.harmonic * result.xi);
+  result.dual_objective = result.social_cost / result.ratio_bound;
+}
+
 // The production mechanism body, running entirely on the compiled view.
 void run_ssam_compiled(const compiled_instance& c, const ssam_options& options,
                        ssam_scratch::impl& ws, ssam_result& result) {
@@ -904,15 +595,8 @@ void run_ssam_compiled(const compiled_instance& c, const ssam_options& options,
   auto on_win = [&](std::size_t idx, units utility, double ratio,
                     auto&& utility_of, const units* util_data,
                     const std::vector<char>& seller_active) {
-    winning_bid w;
-    w.bid_index = idx;
-    w.utility_at_selection = utility;
-    w.ratio_at_selection = ratio;
-
-    const bool need_estimate = options.rule == payment_rule::runner_up ||
-                               options.payment_budget > 0.0;
-    double estimate = c.price(idx);
-    if (need_estimate) {
+    double runner_ratio = kInf;
+    if (needs_runner_up(options)) {
       // Best competing ratio among bids of *other* sellers still active
       // (Algorithm 1 line 6; see DESIGN.md for why same-seller
       // alternatives are excluded). When the loop maintains a contiguous
@@ -923,7 +607,6 @@ void run_ssam_compiled(const compiled_instance& c, const ssam_options& options,
       // scan found. The lazy loop serves utilities through `utility_of`
       // (no contiguous row), so it keeps the scalar scan.
       const seller_id self = c.seller(idx);
-      double runner_ratio = kInf;
       if (util_data != nullptr) {
         runner_ratio = simd::ratio_argmin(c.price_data(), util_data,
                                           c.seller_data(),
@@ -942,44 +625,22 @@ void run_ssam_compiled(const compiled_instance& c, const ssam_options& options,
                                   c.price(other) / static_cast<double>(u));
         }
       }
-      if (runner_ratio != kInf) {
-        estimate = static_cast<double>(utility) * runner_ratio;
-      }
-      // Line 7 pays U·(runner ratio); the winner was selected because its
-      // own ratio is minimal, so payment >= price always.
-      estimate = std::max(estimate, c.price(idx));
     }
-    if (options.payment_budget > 0.0 &&
-        budget_spent + estimate > options.payment_budget) {
-      return false;  // W depleted: stop the auction here (paper §IV)
-    }
-    budget_spent += estimate;
-    if (options.rule == payment_rule::runner_up) w.payment = estimate;
-
-    // Theorem 3 accounting: the winning price is distributed over the
-    // `utility` covered units as equal shares f = ratio.
-    for (units u = 0; u < utility; ++u) {
-      result.unit_shares.push_back(ratio);
-    }
-
-    result.winners.push_back(w);
-    result.social_cost += c.price(idx);
-    return true;
+    return accept_win(options, idx, utility, ratio, c.price(idx),
+                      runner_ratio, budget_spent, result);
   };
 
-  if (eager_selection_of(options)) {
-    compiled_eager_loop(c, ws, on_win);
-  } else {
+  if (options.rule == payment_rule::critical_value) {
     compiled_lazy_loop(c, ws, on_win);
+  } else {
+    compiled_eager_loop(c, ws, on_win);
   }
 
   if (options.rule == payment_rule::critical_value) {
-    // Every payment is an independent pure probe of the instance, so they
-    // run concurrently; each worker writes only its own winner's
-    // arena-carved probe slot, so the outcome is identical for any thread
-    // count. All slots are carved serially on the calling thread before
-    // the fan-out (workers never touch the arena — see probe_slot), and
-    // one scope rewind reclaims the whole fan-out's memory on exit.
+    // Each winner's probes run on its own arena-carved probe slot. All
+    // slots are carved serially on the calling thread before the fan-out
+    // (workers never touch the arena — see probe_slot), and one scope
+    // rewind reclaims the whole fan-out's memory on exit.
     arena& slab = arena::for_thread();
     const arena::scope payment_scope(slab);
     const std::size_t nwinners = result.winners.size();
@@ -987,48 +648,16 @@ void run_ssam_compiled(const compiled_instance& c, const ssam_options& options,
     for (std::size_t pos = 0; pos < nwinners; ++pos) {
       slots[pos] = carve_probe_slot(slab, c);
     }
-    auto pay_one = [&](std::size_t pos) {
+    pay_winners(options, nwinners, [&](std::size_t pos) {
       result.winners[pos].payment = compiled_critical_value(
           c, result.winners[pos].bid_index, options.critical_value_eps,
           slots[pos]);
-    };
-    if (options.payment_threads == 1 || nwinners < 2) {
-      for (std::size_t pos = 0; pos < nwinners; ++pos) {
-        pay_one(pos);
-      }
-    } else {
-      thread_pool::shared().parallel_for(nwinners, pay_one,
-                                         options.payment_threads);
-    }
-
-    // Budget re-verification: the in-loop gate only saw runner-up
-    // ESTIMATES; the actual critical-value payments can exceed them. Drop
-    // trailing winners (reverse selection order) until the realized total
-    // respects W, then let the feasibility replay below re-certify the
-    // surviving set (paper §IV budget feasibility).
+    });
     if (options.payment_budget > 0.0) {
-      double total = 0.0;
-      for (const winning_bid& w : result.winners) total += w.payment;
-      while (!result.winners.empty() && total > options.payment_budget) {
-        const winning_bid& last = result.winners.back();
-        total -= last.payment;
-        result.unit_shares.resize(
-            result.unit_shares.size() -
-            static_cast<std::size_t>(last.utility_at_selection));
-        result.winners.pop_back();
-        ++result.budget_dropped;
-      }
-      if (result.budget_dropped > 0) {
-        result.social_cost = 0.0;
-        for (const winning_bid& w : result.winners) {
-          result.social_cost += c.price(w.bid_index);
-        }
-      }
+      enforce_payment_budget(
+          options.payment_budget, [&](std::size_t j) { return c.price(j); },
+          result);
     }
-  }
-
-  for (const winning_bid& w : result.winners) {
-    result.total_payment += w.payment;
   }
 
   // Feasibility: replay the winners against a fresh state.
@@ -1038,16 +667,7 @@ void run_ssam_compiled(const compiled_instance& c, const ssam_options& options,
     replay.apply(c, w.bid_index);
   }
   result.feasible = replay.satisfied();
-
-  // Dual certificate.
-  if (!result.unit_shares.empty()) {
-    const auto [lo_it, hi_it] = std::minmax_element(
-        result.unit_shares.begin(), result.unit_shares.end());
-    result.xi = *lo_it > 0.0 ? *hi_it / *lo_it : 1.0;
-  }
-  result.harmonic = harmonic_number(result.unit_shares.size());
-  result.ratio_bound = std::max(1.0, result.harmonic * result.xi);
-  result.dual_objective = result.social_cost / result.ratio_bound;
+  finish_result(result);
 
   if (options.self_audit) {
     audit_options audit;
@@ -1056,33 +676,25 @@ void run_ssam_compiled(const compiled_instance& c, const ssam_options& options,
   }
 }
 
-// The bid-vector reference body (eager_reference / legacy_reference): the
-// pre-compiled-view mechanism, kept verbatim as the equivalence and
+// The bid-vector eager reference body (eager_reference): the
+// pre-compiled-view mechanism, kept as the equivalence oracle and the
 // benchmark baseline.
 void run_ssam_reference(const single_stage_instance& instance,
                         const ssam_options& options, ssam_scratch::impl& ws,
                         ssam_result& result) {
   reset_result(result);
   double budget_spent = 0.0;  // runner-up payment estimates
+  auto price_of = [&](std::size_t j) { return instance.bids[j].price; };
 
-  greedy_loop(
-      instance, ws, eager_selection_of(options), instance.bids.size(), 0.0,
+  eager_greedy_loop(
+      instance, ws, instance.bids.size(), 0.0,
       [&](std::size_t idx, units utility, double ratio,
           const coverage_state& state, const std::vector<char>& seller_active) {
-        winning_bid w;
-        w.bid_index = idx;
-        w.utility_at_selection = utility;
-        w.ratio_at_selection = ratio;
-
-        const bool need_estimate = options.rule == payment_rule::runner_up ||
-                                   options.payment_budget > 0.0;
-        double estimate = instance.bids[idx].price;
-        if (need_estimate) {
+        double runner_ratio = kInf;
+        if (needs_runner_up(options)) {
           // Best competing ratio among bids of *other* sellers still active
-          // (Algorithm 1 line 6; see DESIGN.md for why same-seller
-          // alternatives are excluded).
+          // (Algorithm 1 line 6).
           const seller_id self = instance.bids[idx].seller;
-          double runner_ratio = kInf;
           for (std::size_t other = 0; other < instance.bids.size(); ++other) {
             if (other == idx) continue;
             if (instance.bids[other].seller == self) continue;
@@ -1092,88 +704,19 @@ void run_ssam_reference(const single_stage_instance& instance,
                                       instance.bids[other].price, state, u);
             runner_ratio = std::min(runner_ratio, r);
           }
-          if (runner_ratio != kInf) {
-            estimate = static_cast<double>(utility) * runner_ratio;
-          }
-          // Line 7 pays U·(runner ratio); the winner was selected because
-          // its own ratio is minimal, so payment >= price always.
-          estimate = std::max(estimate, instance.bids[idx].price);
         }
-        if (options.payment_budget > 0.0 &&
-            budget_spent + estimate > options.payment_budget) {
-          return false;  // W depleted: stop the auction here (paper §IV)
-        }
-        budget_spent += estimate;
-        if (options.rule == payment_rule::runner_up) w.payment = estimate;
-
-        // Theorem 3 accounting: the winning price is distributed over the
-        // `utility` covered units as equal shares f = ratio.
-        for (units u = 0; u < utility; ++u) {
-          result.unit_shares.push_back(ratio);
-        }
-
-        result.winners.push_back(w);
-        result.social_cost += instance.bids[idx].price;
-        return true;
+        return accept_win(options, idx, utility, ratio, price_of(idx),
+                          runner_ratio, budget_spent, result);
       });
 
   if (options.rule == payment_rule::critical_value) {
-    // Every payment is an independent pure probe of the instance, so they
-    // run concurrently; each worker writes only its own winner's slot and
-    // uses its own probe workspace, so the outcome is identical for any
-    // thread count. The pre-sorted probe seed is shared read-only across
-    // every probe of every winner.
-    const probe_seed* seed = nullptr;
-    if (!options.eager_reference) {
-      build_probe_seed(instance, ws.seed, ws.state);
-      seed = &ws.seed;
-    }
-    if (ws.probes.size() < result.winners.size()) {
-      ws.probes.resize(result.winners.size());
-    }
-    auto pay_one = [&](std::size_t pos) {
-      result.winners[pos].payment = critical_value_payment_impl(
-          instance, result.winners[pos].bid_index, options.critical_value_eps,
-          options.eager_reference, seed,
-          options.eager_reference ? nullptr : &ws.probes[pos]);
-    };
-    if (options.payment_threads == 1 || result.winners.size() < 2) {
-      for (std::size_t pos = 0; pos < result.winners.size(); ++pos) {
-        pay_one(pos);
-      }
-    } else {
-      thread_pool::shared().parallel_for(result.winners.size(), pay_one,
-                                         options.payment_threads);
-    }
-
-    // Budget re-verification: the in-loop gate only saw runner-up
-    // ESTIMATES; the actual critical-value payments can exceed them. Drop
-    // trailing winners (reverse selection order) until the realized total
-    // respects W, then let the feasibility replay below re-certify the
-    // surviving set (paper §IV budget feasibility).
+    pay_winners(options, result.winners.size(), [&](std::size_t pos) {
+      result.winners[pos].payment = eager_critical_value(
+          instance, result.winners[pos].bid_index, options.critical_value_eps);
+    });
     if (options.payment_budget > 0.0) {
-      double total = 0.0;
-      for (const winning_bid& w : result.winners) total += w.payment;
-      while (!result.winners.empty() && total > options.payment_budget) {
-        const winning_bid& last = result.winners.back();
-        total -= last.payment;
-        result.unit_shares.resize(
-            result.unit_shares.size() -
-            static_cast<std::size_t>(last.utility_at_selection));
-        result.winners.pop_back();
-        ++result.budget_dropped;
-      }
-      if (result.budget_dropped > 0) {
-        result.social_cost = 0.0;
-        for (const winning_bid& w : result.winners) {
-          result.social_cost += instance.bids[w.bid_index].price;
-        }
-      }
+      enforce_payment_budget(options.payment_budget, price_of, result);
     }
-  }
-
-  for (const winning_bid& w : result.winners) {
-    result.total_payment += w.payment;
   }
 
   // Feasibility: replay the winners against a fresh state.
@@ -1183,16 +726,7 @@ void run_ssam_reference(const single_stage_instance& instance,
     replay.apply(instance.bids[w.bid_index]);
   }
   result.feasible = replay.satisfied();
-
-  // Dual certificate.
-  if (!result.unit_shares.empty()) {
-    const auto [lo_it, hi_it] = std::minmax_element(
-        result.unit_shares.begin(), result.unit_shares.end());
-    result.xi = *lo_it > 0.0 ? *hi_it / *lo_it : 1.0;
-  }
-  result.harmonic = harmonic_number(result.unit_shares.size());
-  result.ratio_bound = std::max(1.0, result.harmonic * result.xi);
-  result.dual_objective = result.social_cost / result.ratio_bound;
+  finish_result(result);
 
   if (options.self_audit) {
     audit_options audit;
@@ -1213,6 +747,7 @@ void check_run_options(const ssam_options& options) {
 
 std::vector<std::size_t> greedy_selection(const single_stage_instance& instance,
                                           ssam_scratch* scratch) {
+  instance.validate();
   std::optional<ssam_scratch> local;
   if (scratch == nullptr) scratch = &local.emplace();
   ssam_scratch::impl& ws = scratch->buffers();
@@ -1229,6 +764,7 @@ std::vector<std::size_t> greedy_selection(const single_stage_instance& instance,
 
 std::vector<std::size_t> eager_greedy_selection(
     const single_stage_instance& instance, ssam_scratch* scratch) {
+  instance.validate();
   std::optional<ssam_scratch> local;
   if (scratch == nullptr) scratch = &local.emplace();
   std::vector<std::size_t> winners;
@@ -1241,25 +777,24 @@ std::vector<std::size_t> eager_greedy_selection(
   return winners;
 }
 
-std::vector<std::size_t> lazy_greedy_selection(
-    const single_stage_instance& instance) {
-  instance.validate();
-  return greedy_selection(instance);
-}
-
 bool wins_with_price(const single_stage_instance& instance,
                      std::size_t bid_index, double price_report) {
+  instance.validate();
   ECRS_CHECK(bid_index < instance.bids.size());
   ECRS_CHECK_MSG(price_report >= 0.0, "price reports must be non-negative");
   ssam_scratch local;
   ssam_scratch::impl& ws = local.buffers();
   ws.compiled.compile(instance);
-  compiled_probe_scratch probe_ws;
-  return compiled_probe_wins(ws.compiled, probe_ws, bid_index, price_report);
+  arena& slab = arena::for_thread();
+  const arena::scope probe_scope(slab);
+  probe_slot slot = carve_probe_slot(slab, ws.compiled);
+  build_probe_trajectory(ws.compiled, slot, bid_index);
+  return trajectory_probe_wins(slot, bid_index, price_report);
 }
 
 double critical_value_payment(const single_stage_instance& instance,
                               std::size_t bid_index, double relative_eps) {
+  instance.validate();
   ECRS_CHECK(bid_index < instance.bids.size());
   ssam_scratch local;
   ssam_scratch::impl& ws = local.buffers();
@@ -1275,12 +810,10 @@ void run_ssam(const single_stage_instance& instance,
               ssam_result& out) {
   instance.validate();
   check_run_options(options);
-  ECRS_CHECK_MSG(!(options.eager_reference && options.legacy_reference),
-                 "pick at most one bid-vector reference path");
   std::optional<ssam_scratch> local;
   if (scratch == nullptr) scratch = &local.emplace();
   ssam_scratch::impl& ws = scratch->buffers();
-  if (options.eager_reference || options.legacy_reference) {
+  if (options.eager_reference) {
     run_ssam_reference(instance, options, ws, out);
     return;
   }
@@ -1290,8 +823,8 @@ void run_ssam(const single_stage_instance& instance,
 
 void run_ssam(const compiled_instance& compiled, const ssam_options& options,
               ssam_scratch* scratch, ssam_result& out) {
-  ECRS_CHECK_MSG(!options.eager_reference && !options.legacy_reference,
-                 "the bid-vector reference paths need the original instance; "
+  ECRS_CHECK_MSG(!options.eager_reference,
+                 "the eager reference needs the original instance; "
                  "call run_ssam(single_stage_instance) instead");
   check_run_options(options);
   std::optional<ssam_scratch> local;

@@ -15,25 +15,21 @@
 // Selection and payments run on a *compiled* CSR view of the instance
 // (auction/compiled.h): the bid-vector entry points below compile on entry
 // (into the scratch, so steady-state callers pay no allocation), and every
-// hot loop — greedy selection in all modes, the runner-up estimate scans,
-// the critical-value probes, the feasibility replay, and the self-audit —
+// hot loop — greedy selection, the runner-up estimate scans, the
+// critical-value probes, the feasibility replay, and the self-audit —
 // walks contiguous structure-of-arrays rows instead of per-bid
-// heap-allocated `bid::coverage` vectors. The lazy selection loop keeps
-// exact marginal utilities incrementally through the inverted demander
-// index (scored_state): applying a winner re-scores only the bids whose
-// utility actually changed and repairs the heap with fresh exact keys,
-// instead of lazily re-popping stale lower bounds. The heap orders
-// (ratio, bid index), reproducing the eager scan's deterministic
-// tie-breaking bit-for-bit.
+// heap-allocated `bid::coverage` vectors. Two compiled selection loops
+// exist, chosen by the payment rule alone: under runner_up an eager argmin
+// scan over exact utilities kept incrementally through the inverted
+// demander index (scored_state); under critical_value a lazy merge of the
+// compiled (ratio, bid index) order with a small requeue heap. Both order
+// candidates by (ratio, bid index), so they select the same winners bit
+// for bit.
 //
-// Two bid-vector reference paths are kept for equivalence tests and the
-// before/after benchmarks, selected by ssam_options:
-//  - eager_reference  — the original O(n²·m) eager scan with full
-//    (non-early-exit) probe auctions (the PR 1 baseline);
-//  - legacy_reference — the PR 3 path: lazy-greedy heap over bid vectors
-//    with the per-call pre-sorted probe seed and early-exit probes.
-// Both must produce winners and payments bit-identical to the compiled
-// default.
+// One bid-vector oracle is kept for equivalence tests and the before/after
+// benchmarks: ssam_options::eager_reference routes a call through the
+// original O(n²·m) eager scan with full-replay critical-value probes. It
+// must produce winners and payments bit-identical to the compiled default.
 //
 // Critical-value payments are independent pure probes of the instance and
 // are computed in parallel on a shared thread pool
@@ -57,18 +53,10 @@ class compiled_instance;  // auction/compiled.h
 
 enum class payment_rule { runner_up, critical_value };
 
-// Which greedy loop drives winner selection. Eager (full rescan per pick)
-// has the lower constant and wins when selection is all the call does; the
-// lazy heap wins once critical-value probes amortize its seed across many
-// replayed auctions. `automatic` picks eager when no probes will run
-// (payment_rule::runner_up) and lazy otherwise. Both loops produce the same
-// winner sequence bit for bit, so this is a pure performance knob.
-enum class selection_mode { automatic, eager, lazy };
-
 // Reusable workspace for the SSAM hot path. run_ssam and the selection
 // entry points accept an optional scratch; when provided, every internal
-// buffer (coverage state, seller/bid masks, the lazy heap, the pre-sorted
-// probe seed) is borrowed from it instead of allocated per call, so
+// buffer (the compiled view, coverage state, seller/bid masks, the lazy
+// loop's requeue heap) is borrowed from it instead of allocated per call, so
 // repeated rounds and sweep trials stop hitting the allocator once the
 // buffers have grown to the largest instance seen. The compiled path's
 // per-winner critical-value probe slots are NOT stored here: they are
@@ -106,10 +94,6 @@ inline constexpr bool kSelfAuditDefault = false;
 
 struct ssam_options {
   payment_rule rule = payment_rule::runner_up;
-  // Greedy loop used for winner selection (see selection_mode). The default
-  // resolves to eager under runner_up payments and lazy under
-  // critical_value; identical winners either way.
-  selection_mode selection = selection_mode::automatic;
   // Relative termination gap for the critical-value bisection: the search
   // stops once (hi - lo) / hi < critical_value_eps and returns the last
   // probe certified to win (lo), so a payment under-approximates the true
@@ -133,17 +117,12 @@ struct ssam_options {
   // slots, so the result is identical for every setting.
   std::size_t payment_threads = 0;
   // Route selection and payment probes through the original eager O(n²·m)
-  // scan with full (non-early-exit) probe auctions. Kept for equivalence
-  // tests and the before/after micro-benchmarks; must produce the same
-  // winners and payments as the default compiled path.
+  // scan over `bid` vectors with full-replay probe auctions — the one
+  // oracle. Kept for equivalence tests and the before/after benchmarks;
+  // must produce the same winners and payments as the default compiled
+  // path. Only meaningful on the single_stage_instance overload (the
+  // compiled overload rejects it).
   bool eager_reference = false;
-  // Route the call through the PR 3 bid-vector path: lazy-greedy heap over
-  // `bid` vectors with the per-call probe seed and early-exit probes, no
-  // compiled view. Kept as the before/after benchmark baseline and the
-  // second equivalence reference; must produce the same winners and
-  // payments as the default compiled path. Only meaningful on the
-  // single_stage_instance overload (the compiled overload rejects it).
-  bool legacy_reference = false;
   // Re-check the returned result (feasibility, individual rationality,
   // accounting, budget balance, certificate sanity) with
   // auction::audit_or_throw before returning; a violation throws
@@ -185,10 +164,9 @@ struct ssam_result {
 
 // Run the full mechanism directly on a pre-compiled view (no per-call
 // compile). The caller owns the compiled_instance and must have called
-// refresh_order() after any patches. Rejects the bid-vector reference
-// modes (eager_reference / legacy_reference). This is the MSOA warm-start
-// entry point; results are bit-identical to run_ssam on the equivalent
-// single_stage_instance.
+// refresh_order() after any patches. Rejects eager_reference (the oracle
+// needs the bid vectors). This is the MSOA warm-start entry point; results
+// are bit-identical to run_ssam on the equivalent single_stage_instance.
 [[nodiscard]] ssam_result run_ssam(const compiled_instance& compiled,
                                    const ssam_options& options = {},
                                    ssam_scratch* scratch = nullptr);
@@ -206,8 +184,11 @@ void run_ssam(const single_stage_instance& instance,
 void run_ssam(const compiled_instance& compiled, const ssam_options& options,
               ssam_scratch* scratch, ssam_result& out);
 
+// The entry points below validate() the instance, like run_ssam, and throw
+// ecrs::check_error on a malformed one.
+
 // Selection only (no payments): the greedy winner set in selection order,
-// computed with the lazy-greedy heap.
+// computed with the compiled lazy loop.
 [[nodiscard]] std::vector<std::size_t> greedy_selection(
     const single_stage_instance& instance, ssam_scratch* scratch = nullptr);
 
@@ -216,15 +197,12 @@ void run_ssam(const compiled_instance& compiled, const ssam_options& options,
 [[nodiscard]] std::vector<std::size_t> eager_greedy_selection(
     const single_stage_instance& instance, ssam_scratch* scratch = nullptr);
 
-// Backwards-compatible alias of greedy_selection (both are lazy now).
-[[nodiscard]] std::vector<std::size_t> lazy_greedy_selection(
-    const single_stage_instance& instance);
-
 // Does `bid_index` win the greedy selection if its price is replaced by
-// `price_report` (all other bids unchanged)? Exits the replayed auction as
-// soon as the verdict is decided: when the probed bid is selected, or when
-// another bid of the same seller is selected (constraint (9) then bars the
-// probed bid for the rest of the round).
+// `price_report` (all other bids unchanged)? Resolved against the bid's
+// probe trajectory — the competitors' selection sequence with the bid
+// excluded, cut at the first step that decides every report (another bid
+// of the same seller selected, constraint (9), or the bid's utility
+// exhausted) — the same precompute the critical-value bisection probes.
 [[nodiscard]] bool wins_with_price(const single_stage_instance& instance,
                                    std::size_t bid_index, double price_report);
 

@@ -143,83 +143,4 @@ partitioned_instance partition(
   return out;
 }
 
-streaming_partitioner::streaming_partitioner(std::uint32_t regions)
-    : regions_(regions) {
-  ECRS_CHECK_MSG(regions >= 1, "need at least one region");
-  begin();
-}
-
-void streaming_partitioner::begin() {
-  phase_ = phase::demanders;
-  sellers_per_region_.assign(regions_, 0);
-  demanders_per_region_.assign(regions_, 0);
-  seller_region_.clear();
-  local_of_seller_.clear();
-  demander_region_.clear();
-  local_of_demander_.clear();
-  work_.shards.regions.clear();
-  work_.shards.regions.resize(regions_);
-  work_.map = region_map();
-  work_.dropped_coverage = 0;
-  work_.dropped_bids = 0;
-}
-
-void streaming_partitioner::add_demander(std::uint32_t region,
-                                         auction::units requirement) {
-  ECRS_CHECK_MSG(phase_ == phase::demanders,
-                 "demanders must all arrive before sellers and bids");
-  ECRS_CHECK_MSG(region < regions_,
-                 "demander region tag " << region << " out of range");
-  demander_region_.push_back(region);
-  local_of_demander_.push_back(demanders_per_region_[region]++);
-  work_.shards.regions[region].requirements.push_back(requirement);
-}
-
-void streaming_partitioner::add_seller(std::uint32_t region) {
-  ECRS_CHECK_MSG(phase_ != phase::bids, "sellers must arrive before bids");
-  ECRS_CHECK_MSG(region < regions_,
-                 "seller region tag " << region << " out of range");
-  phase_ = phase::sellers;
-  seller_region_.push_back(region);
-  local_of_seller_.push_back(sellers_per_region_[region]++);
-}
-
-void streaming_partitioner::add_bid(const auction::bid& global) {
-  phase_ = phase::bids;
-  ECRS_CHECK_MSG(global.seller < seller_region_.size(),
-                 "bid references untagged seller " << global.seller);
-  const std::uint32_t r = seller_region_[global.seller];
-  scratch_.seller = local_of_seller_[global.seller];
-  scratch_.index = global.index;
-  scratch_.amount = global.amount;
-  scratch_.price = global.price;
-  scratch_.coverage.clear();
-  for (const auction::demander_id k : global.coverage) {
-    ECRS_CHECK_MSG(k < demander_region_.size(),
-                   "bid covers untagged demander " << k);
-    if (demander_region_[k] != r) {
-      ++work_.dropped_coverage;
-      continue;
-    }
-    // Local ids preserve ascending global order within a region, so the
-    // mapped coverage is already sorted unique.
-    scratch_.coverage.push_back(local_of_demander_[k]);
-  }
-  if (scratch_.coverage.empty()) {
-    ++work_.dropped_bids;
-    return;
-  }
-  work_.shards.regions[r].bids.push_back(scratch_);
-}
-
-partitioned_instance streaming_partitioner::finish() {
-  // An empty stream is legal, matching partition() on an empty global
-  // instance: every region comes out with no demanders and no bids.
-  work_.map =
-      region_map(std::vector<std::uint32_t>(sellers_per_region_),
-                 std::vector<std::uint32_t>(demanders_per_region_));
-  work_.shards.validate();
-  return std::exchange(work_, partitioned_instance{});
-}
-
 }  // namespace ecrs::market

@@ -78,45 +78,4 @@ struct partitioned_instance {
     std::span<const std::uint32_t> seller_region,
     std::span<const std::uint32_t> demander_region);
 
-// Incremental flavour of partition(): the global instance arrives as a
-// stream instead of being materialized first. Feed in three phases —
-// every demander in ascending global id order, then every seller in
-// ascending global id order, then the bids in global bid order (bids may
-// reference any already-tagged seller). finish() yields the same
-// partitioned_instance, byte for byte, that partition() builds from the
-// equivalent global instance (fuzz-enforced by tests/market_test.cc).
-class streaming_partitioner {
- public:
-  explicit streaming_partitioner(std::uint32_t regions);
-
-  // Restart for a new stream, keeping buffer capacity.
-  void begin();
-  // Phase 1: demander with global id = number of add_demander calls so
-  // far this stream.
-  void add_demander(std::uint32_t region, auction::units requirement);
-  // Phase 2 (after all demanders): seller with global id = number of
-  // add_seller calls so far.
-  void add_seller(std::uint32_t region);
-  // Phase 3 (after all sellers): a bid in GLOBAL ids; routed to its
-  // seller's region, out-of-region coverage dropped like partition().
-  void add_bid(const auction::bid& global);
-  // Finalize: build the region_map, validate, and move the result out.
-  // The partitioner must begin() again before reuse.
-  [[nodiscard]] partitioned_instance finish();
-
- private:
-  enum class phase : std::uint8_t { demanders, sellers, bids };
-
-  std::uint32_t regions_;
-  phase phase_ = phase::demanders;
-  std::vector<std::uint32_t> sellers_per_region_;
-  std::vector<std::uint32_t> demanders_per_region_;
-  std::vector<std::uint32_t> seller_region_;      // by global seller id
-  std::vector<std::uint32_t> local_of_seller_;    // by global seller id
-  std::vector<std::uint32_t> demander_region_;    // by global demander id
-  std::vector<std::uint32_t> local_of_demander_;  // by global demander id
-  partitioned_instance work_;
-  auction::bid scratch_;  // local-id staging for add_bid
-};
-
 }  // namespace ecrs::market

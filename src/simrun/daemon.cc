@@ -1,8 +1,10 @@
 #include "simrun/daemon.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
+#include "common/annotations.h"
 #include "common/check.h"
 
 namespace ecrs::simrun {
@@ -17,11 +19,43 @@ std::vector<workload::qos_class> qos_of(const workload::generator& gen) {
   return qos;
 }
 
-// FNV-1a over every behaviour-determining scalar of the setup. Two setups
-// with equal hashes run the same horizon; the hash gates checkpoint
-// restores (common/checkpoint.h header).
+// FNV-1a folded over 64-bit words instead of bytes, with no buffer: the
+// setup hash walks every standing bid, and a daemon is built once per run,
+// so its cost lands in the setup time.
+class setup_hasher {
+ public:
+  // ECRS_NO_SANITIZE_INTEGER: the multiply wraps mod 2^64 by design.
+  ECRS_NO_SANITIZE_INTEGER void u64(std::uint64_t v) {
+    h_ = (h_ ^ v) * 0x100000001b3ULL;
+  }
+  void u32(std::uint32_t v) { u64(v); }
+  void u8(std::uint8_t v) { u64(v); }
+  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+  void size(std::size_t v) { u64(static_cast<std::uint64_t>(v)); }
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+// The outcome-determining fields of one SSAM configuration. Thread counts,
+// self_audit and eager_reference leave every result unchanged, so they are
+// left out.
+void hash_stage(setup_hasher& w, const auction::ssam_options& o) {
+  w.u8(static_cast<std::uint8_t>(o.rule));
+  w.f64(o.critical_value_eps);
+  w.f64(o.payment_budget);
+}
+
+// Hash of every behaviour-determining input of the setup: the scalars,
+// the market configuration, the topology's latencies and the standing
+// bids. Two setups with equal hashes run the same horizon; the hash gates
+// checkpoint restores (common/checkpoint.h header). Output-invariant knobs
+// (thread counts, self_audit, warm_start, eager_reference) are left out so
+// a checkpoint restores under any of their settings.
 std::uint64_t hash_setup(const daemon_setup& s) {
-  ecrs::checkpoint_writer w;
+  setup_hasher w;
   w.f64(s.config.round_duration);
   w.f64(s.config.base_allocation);
   w.f64(s.config.resources_per_unit);
@@ -70,13 +104,38 @@ std::uint64_t hash_setup(const daemon_setup& s) {
       w.u32(p.t_depart);
     }
   }
-  return ecrs::fnv1a64(w.payload());
+  hash_stage(w, s.market.shard.session.stage);
+  w.f64(s.market.shard.session.alpha);
+  hash_stage(w, s.market.spillover.stage);
+  w.f64(s.market.spillover.cost_per_ms);
+  w.f64(s.market.spillover.max_latency);
+  w.size(s.market.spillover.max_regions);
+  const std::uint32_t clouds = s.topology.clouds();
+  w.u32(clouds);
+  for (std::uint32_t a = 0; a < clouds; ++a) {
+    for (std::uint32_t b = 0; b < clouds; ++b) w.f64(s.topology.latency(a, b));
+  }
+  // Standing bids (their requirement vectors are rewritten every round).
+  w.size(s.standing.regions.size());
+  for (const auto& region : s.standing.regions) {
+    w.size(region.bids.size());
+    for (const auction::bid& b : region.bids) {
+      w.u32(b.seller);
+      w.u32(b.index);
+      w.i64(b.amount);
+      w.f64(b.price);
+      w.size(b.coverage.size());
+      for (const auction::demander_id k : b.coverage) w.u32(k);
+    }
+  }
+  return w.value();
 }
 
 }  // namespace
 
 daemon::daemon(daemon_setup setup)
-    : config_(setup.config),
+    : config_hash_(hash_setup(setup)),
+      config_(setup.config),
       gen_(setup.workload),
       cluster_(setup.cluster, qos_of(gen_)),
       estimator_(setup.estimator),
@@ -104,7 +163,6 @@ daemon::daemon(daemon_setup setup)
   ECRS_CHECK_MSG(sc.flash_every == 0 || sc.flash_duration >= 1,
                  "flash crowds need a positive duration");
 
-  config_hash_ = hash_setup(setup);
   seller_counts_.reserve(setup.sellers.size());
   for (const auto& region : setup.sellers) {
     ECRS_CHECK_MSG(!region.empty(), "every region needs at least one seller");

@@ -150,6 +150,9 @@ class daemon {
   void apply_allocations(const auction::regional_instance& inst,
                          const market::marketplace_round& out);
 
+  // Declared first: hashed before the setup's topology and standing bids
+  // move into the members below.
+  std::uint64_t config_hash_ = 0;
   daemon_config config_;
   workload::generator gen_;
   edge::cluster cluster_;
@@ -160,7 +163,6 @@ class daemon {
   des::simulator sim_;
   round_callback callback_;
   chain_probe probe_;
-  std::uint64_t config_hash_ = 0;
   std::vector<std::uint32_t> seller_counts_;  // per region
   std::vector<std::uint32_t> population_;     // per microservice, static
   // Round-scoped buffers, reused so steady-state rounds do not allocate.

@@ -39,7 +39,7 @@ TEST_P(LazyGreedySweep, MatchesEagerGreedyExactly) {
   cfg.bids_per_seller = 1 + static_cast<std::size_t>(gen.uniform_int(0, 3));
   const auto inst = random_instance(cfg, gen);
   const auto eager = eager_greedy_selection(inst);
-  const auto lazy = lazy_greedy_selection(inst);
+  const auto lazy = greedy_selection(inst);
   EXPECT_EQ(lazy, eager);
 }
 
@@ -52,22 +52,22 @@ TEST(LazyGreedy, HandlesTiesLikeEager) {
   inst.requirements = {4};
   inst.bids = {make_bid(0, {0}, 4, 10.0), make_bid(1, {0}, 4, 10.0),
                make_bid(2, {0}, 4, 10.0)};
-  EXPECT_EQ(lazy_greedy_selection(inst), eager_greedy_selection(inst));
-  EXPECT_EQ(lazy_greedy_selection(inst), (std::vector<std::size_t>{0}));
+  EXPECT_EQ(greedy_selection(inst), eager_greedy_selection(inst));
+  EXPECT_EQ(greedy_selection(inst), (std::vector<std::size_t>{0}));
 }
 
 TEST(LazyGreedy, EmptyRequirementsSelectNothing) {
   single_stage_instance inst;
   inst.requirements = {0};
   inst.bids = {make_bid(0, {0}, 1, 1.0)};
-  EXPECT_TRUE(lazy_greedy_selection(inst).empty());
+  EXPECT_TRUE(greedy_selection(inst).empty());
 }
 
 TEST(LazyGreedy, StopsOnUnsatisfiableInstances) {
   single_stage_instance inst;
   inst.requirements = {100};
   inst.bids = {make_bid(0, {0}, 2, 1.0), make_bid(1, {0}, 2, 2.0)};
-  const auto lazy = lazy_greedy_selection(inst);
+  const auto lazy = greedy_selection(inst);
   EXPECT_EQ(lazy, eager_greedy_selection(inst));
   EXPECT_EQ(lazy.size(), 2u);  // takes everything useful, then stops
 }
@@ -79,25 +79,25 @@ TEST(LazyGreedy, LargeInstanceAgreesWithEager) {
   cfg.demanders = 8;
   cfg.bids_per_seller = 2;
   const auto inst = random_instance(cfg, gen);
-  EXPECT_EQ(lazy_greedy_selection(inst), eager_greedy_selection(inst));
+  EXPECT_EQ(greedy_selection(inst), eager_greedy_selection(inst));
 }
 
-// ------------------------------------------------------- early-exit probes
+// ------------------------------------------------------ trajectory probes
 
-// Reference verdict without any early exit or price-override machinery: set
+// Reference verdict without any trajectory or price-override machinery: set
 // the probed bid's price in a copy of the instance and check membership in
-// the plain greedy selection.
+// the eager reference selection.
 bool wins_by_reference(const single_stage_instance& inst, std::size_t idx,
                        double report) {
   single_stage_instance modified = inst;
   modified.bids[idx].price = report;
-  const auto winners = greedy_selection(modified);
+  const auto winners = eager_greedy_selection(modified);
   return std::find(winners.begin(), winners.end(), idx) != winners.end();
 }
 
-class ProbeEarlyExitSweep : public ::testing::TestWithParam<std::uint64_t> {};
+class ProbeTrajectorySweep : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(ProbeEarlyExitSweep, VerdictMatchesFullReplay) {
+TEST_P(ProbeTrajectorySweep, VerdictMatchesFullReplay) {
   rng gen(GetParam() * 104729 + 17);
   instance_config cfg;
   cfg.sellers = 3 + static_cast<std::size_t>(gen.uniform_int(0, 12));
@@ -105,8 +105,8 @@ TEST_P(ProbeEarlyExitSweep, VerdictMatchesFullReplay) {
   cfg.bids_per_seller = 1 + static_cast<std::size_t>(gen.uniform_int(0, 2));
   const auto inst = random_instance(cfg, gen);
   for (std::size_t idx = 0; idx < inst.bids.size(); ++idx) {
-    // Probe below, at, and well above the bid's own price; early exit must
-    // never flip a verdict relative to replaying the whole auction.
+    // Probe below, at, and well above the bid's own price; the trajectory
+    // must never flip a verdict relative to replaying the whole auction.
     for (const double factor : {0.25, 1.0, 4.0, 64.0}) {
       const double report = inst.bids[idx].price * factor;
       EXPECT_EQ(wins_with_price(inst, idx, report),
@@ -116,7 +116,7 @@ TEST_P(ProbeEarlyExitSweep, VerdictMatchesFullReplay) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ProbeEarlyExitSweep,
+INSTANTIATE_TEST_SUITE_P(Seeds, ProbeTrajectorySweep,
                          ::testing::Range<std::uint64_t>(1, 16));
 
 // ------------------------------------------------------------ local search

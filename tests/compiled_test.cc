@@ -348,9 +348,6 @@ TEST(RunSsamCompiledOverload, RejectsReferenceModes) {
   ssam_options opts;
   opts.eager_reference = true;
   EXPECT_THROW(run_ssam(c, opts), check_error);
-  opts = ssam_options{};
-  opts.legacy_reference = true;
-  EXPECT_THROW(run_ssam(c, opts), check_error);
 }
 
 TEST(CompiledInstance, CompileRejectsOutOfRangeCoverage) {

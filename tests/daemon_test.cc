@@ -9,6 +9,7 @@
 #include <bit>
 #include <cstdint>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -281,6 +282,75 @@ TEST(Daemon, CheckpointFileRejectsCorruption) {
   daemon fresh(make_setup(4));
   fresh.load_file(path);
   EXPECT_EQ(fresh.rounds_completed(), 2u);
+}
+
+// The config hash covers the market: a checkpoint saved under one SSAM
+// rule, budget, α, spillover policy, topology or standing bid set must not
+// restore into a daemon that would replay a different horizon. Knobs that
+// leave every result unchanged stay out of the hash, so a checkpoint still
+// restores across them and resumes byte-identically.
+TEST(Daemon, CheckpointConfigHashCoversTheMarket) {
+  const std::uint64_t horizon = 4;
+  const std::uint64_t boundary = 2;
+  daemon straight(make_setup(10));
+  std::vector<std::vector<std::uint64_t>> expected(horizon);
+  record_rounds(straight, expected);
+  straight.run_rounds(horizon);
+
+  daemon first(make_setup(10));
+  first.run_rounds(boundary);
+  const std::string path = testing::TempDir() + "daemon_ckpt_market.bin";
+  first.save_file(path);
+
+  using mutation = void (*)(daemon_setup&);
+  const mutation mismatched[] = {
+      [](daemon_setup& s) {
+        s.market.shard.session.stage.rule =
+            auction::payment_rule::critical_value;
+      },
+      [](daemon_setup& s) {
+        s.market.shard.session.stage.critical_value_eps = 1e-6;
+      },
+      [](daemon_setup& s) {
+        s.market.shard.session.stage.payment_budget = 50.0;
+      },
+      [](daemon_setup& s) { s.market.shard.session.alpha = 2.0; },
+      [](daemon_setup& s) {
+        s.market.spillover.stage.rule = auction::payment_rule::critical_value;
+      },
+      [](daemon_setup& s) { s.market.spillover.cost_per_ms = 0.5; },
+      [](daemon_setup& s) { s.market.spillover.max_latency = 1.5; },
+      [](daemon_setup& s) { s.market.spillover.max_regions = 1; },
+      [](daemon_setup& s) { s.topology = edge::topology::ring(kRegions, 2.0); },
+      [](daemon_setup& s) { s.standing.regions[1].bids[0].price += 1.0; },
+  };
+  for (std::size_t i = 0; i < std::size(mismatched); ++i) {
+    daemon_setup setup = make_setup(10);
+    mismatched[i](setup);
+    daemon fresh(std::move(setup));
+    EXPECT_NE(fresh.config_hash(), first.config_hash()) << "mutation " << i;
+    EXPECT_THROW(fresh.load_file(path), check_error) << "mutation " << i;
+  }
+
+  // Output-invariant knobs flipped: the restore is accepted and the rest of
+  // the horizon replays byte-identically.
+  daemon_setup matched = make_setup(10);
+  matched.market.threads = 2;
+  matched.market.shard.session.stage.payment_threads = 2;
+  matched.market.shard.session.stage.self_audit = true;
+  matched.market.shard.session.stage.eager_reference = true;
+  matched.market.shard.session.warm_start = false;
+  matched.market.spillover.stage.self_audit = true;
+  daemon resumed(std::move(matched));
+  EXPECT_EQ(resumed.config_hash(), first.config_hash());
+  resumed.load_file(path);
+  std::vector<std::vector<std::uint64_t>> replay(horizon);
+  record_rounds(resumed, replay);
+  resumed.run_rounds(horizon - boundary);
+  for (std::uint64_t r = boundary; r < horizon; ++r) {
+    EXPECT_EQ(replay[r], expected[r]) << "round " << r + 1;
+  }
+  EXPECT_EQ(save_bytes(resumed), save_bytes(straight));
 }
 
 TEST(Daemon, LoadRequiresFreshDaemon) {

@@ -521,82 +521,6 @@ TEST(Spillover, SellerBestIndexMatchesLinearScanOnFuzzedOffers) {
   }
 }
 
-// ------------------------------------------- streaming partitioner (PR 9)
-
-TEST(RegionMap, StreamingPartitionerMatchesBatchPartitionOnFuzz) {
-  rng gen(77);
-  market::streaming_partitioner streamer(1);
-  for (int trial = 0; trial < 120; ++trial) {
-    const auto regions =
-        static_cast<std::uint32_t>(gen.uniform_int(1, 5));
-    const auto demanders =
-        static_cast<std::size_t>(gen.uniform_int(0, 12));
-    const auto sellers = static_cast<std::size_t>(gen.uniform_int(1, 6));
-    const auto bids = static_cast<std::size_t>(gen.uniform_int(0, 15));
-
-    auction::single_stage_instance global;
-    std::vector<std::uint32_t> demander_region(demanders);
-    std::vector<std::uint32_t> seller_region(sellers);
-    for (std::size_t k = 0; k < demanders; ++k) {
-      demander_region[k] =
-          static_cast<std::uint32_t>(gen.uniform_int(0, regions - 1));
-      global.requirements.push_back(
-          static_cast<auction::units>(gen.uniform_int(0, 9)));
-    }
-    for (std::size_t s = 0; s < sellers; ++s) {
-      seller_region[s] =
-          static_cast<std::uint32_t>(gen.uniform_int(0, regions - 1));
-    }
-    for (std::size_t i = 0; i < bids && demanders > 0; ++i) {
-      auction::bid b;
-      b.seller = static_cast<auction::seller_id>(
-          gen.uniform_int(0, static_cast<std::int64_t>(sellers) - 1));
-      b.index = i;
-      for (std::size_t k = 0; k < demanders; ++k) {
-        if (gen.uniform_int(0, 2) == 0) {
-          b.coverage.push_back(static_cast<auction::demander_id>(k));
-        }
-      }
-      b.amount = static_cast<auction::units>(gen.uniform_int(1, 8));
-      b.price = static_cast<double>(gen.uniform_int(1, 50)) / 4.0;
-      global.bids.push_back(std::move(b));
-    }
-
-    const market::partitioned_instance batch =
-        market::partition(global, regions, seller_region, demander_region);
-
-    streamer = market::streaming_partitioner(regions);
-    streamer.begin();
-    for (std::size_t k = 0; k < demanders; ++k) {
-      streamer.add_demander(demander_region[k], global.requirements[k]);
-    }
-    for (std::size_t s = 0; s < sellers; ++s) {
-      streamer.add_seller(seller_region[s]);
-    }
-    for (const auction::bid& b : global.bids) streamer.add_bid(b);
-    const market::partitioned_instance streamed = streamer.finish();
-
-    ASSERT_EQ(streamed.shards.region_count(), batch.shards.region_count());
-    EXPECT_EQ(streamed.dropped_coverage, batch.dropped_coverage);
-    EXPECT_EQ(streamed.dropped_bids, batch.dropped_bids);
-    for (std::uint32_t r = 0; r < regions; ++r) {
-      const auto& want = batch.shards.regions[r];
-      const auto& got = streamed.shards.regions[r];
-      EXPECT_EQ(got.requirements, want.requirements) << "trial " << trial;
-      ASSERT_EQ(got.bids.size(), want.bids.size()) << "trial " << trial;
-      for (std::size_t i = 0; i < want.bids.size(); ++i) {
-        EXPECT_EQ(got.bids[i].seller, want.bids[i].seller);
-        EXPECT_EQ(got.bids[i].index, want.bids[i].index);
-        EXPECT_EQ(got.bids[i].coverage, want.bids[i].coverage);
-        EXPECT_EQ(got.bids[i].amount, want.bids[i].amount);
-        EXPECT_EQ(got.bids[i].price, want.bids[i].price);
-      }
-      EXPECT_EQ(streamed.map.sellers_in(r), batch.map.sellers_in(r));
-      EXPECT_EQ(streamed.map.demanders_in(r), batch.map.demanders_in(r));
-    }
-  }
-}
-
 // ------------------------------------------------- round_ingestor (PR 9)
 
 market::ingest_config small_ingest_config() {

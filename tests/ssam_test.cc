@@ -6,9 +6,11 @@
 
 #include "auction/exact.h"
 #include "auction/instance_gen.h"
+#include "auction/msoa.h"
 #include "auction/properties.h"
 #include "auction/ssam.h"
 #include "common/check.h"
+#include "common/checkpoint.h"
 #include "common/rng.h"
 #include "common/statistics.h"
 
@@ -167,6 +169,33 @@ TEST(RunSsam, ValidatesInstance) {
   EXPECT_THROW(run_ssam(inst), check_error);
 }
 
+// Every public entry point validates, not only run_ssam: a duplicate
+// coverage id would double-count utility, and an empty coverage, a zero
+// amount or a negative price would feed the loops a bid they assume away.
+TEST(EntryPoints, RejectMalformedBids) {
+  std::vector<single_stage_instance> malformed;
+  for (int shape = 0; shape < 4; ++shape) {
+    single_stage_instance inst;
+    inst.requirements = {4, 4};
+    inst.bids = {make_bid(0, {0, 1}, 4, 10.0), make_bid(1, {0, 1}, 4, 12.0)};
+    bid& bad = inst.bids[1];
+    if (shape == 0) bad.coverage = {1, 1};  // duplicate coverage id
+    if (shape == 1) bad.coverage.clear();   // empty coverage
+    if (shape == 2) bad.amount = 0;         // amount < 1
+    if (shape == 3) bad.price = -1.0;       // negative price
+    malformed.push_back(std::move(inst));
+  }
+  for (std::size_t shape = 0; shape < malformed.size(); ++shape) {
+    const single_stage_instance& inst = malformed[shape];
+    EXPECT_THROW((void)greedy_selection(inst), check_error) << shape;
+    EXPECT_THROW((void)eager_greedy_selection(inst), check_error) << shape;
+    EXPECT_THROW((void)wins_with_price(inst, 0, 10.0), check_error) << shape;
+    EXPECT_THROW((void)critical_value_payment(inst, 0), check_error)
+        << shape;
+    EXPECT_THROW((void)run_ssam(inst), check_error) << shape;
+  }
+}
+
 // --------------------------------------------------------- wins_with_price
 
 TEST(WinsWithPrice, MonotoneInReport) {
@@ -294,8 +323,8 @@ TEST(SsamSingleBidPerSeller, CloseToOptimalOnSmallInstances) {
 // ------------------------------------------- compiled-path equivalence
 
 TEST(CompiledEquivalence, ReferencePathsMatchDefaultOnRandomInstances) {
-  // Smoke-level check that the compiled CSR default and both bid-vector
-  // reference paths agree bit for bit (tests/compiled_fuzz_test.cc is the
+  // Smoke-level check that the compiled CSR default and the bid-vector
+  // eager reference agree bit for bit (tests/compiled_fuzz_test.cc is the
   // heavyweight sweep).
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     rng gen(seed);
@@ -312,49 +341,118 @@ TEST(CompiledEquivalence, ReferencePathsMatchDefaultOnRandomInstances) {
 
       ssam_options eager_ref = opts;
       eager_ref.eager_reference = true;
-      ssam_options legacy_ref = opts;
-      legacy_ref.legacy_reference = true;
-      for (const auto& other :
-           {run_ssam(inst, eager_ref), run_ssam(inst, legacy_ref)}) {
-        ASSERT_EQ(base.winners.size(), other.winners.size());
-        for (std::size_t pos = 0; pos < base.winners.size(); ++pos) {
-          EXPECT_EQ(base.winners[pos].bid_index, other.winners[pos].bid_index);
-          EXPECT_EQ(base.winners[pos].payment, other.winners[pos].payment);
-        }
-        EXPECT_EQ(base.social_cost, other.social_cost);
-        EXPECT_EQ(base.total_payment, other.total_payment);
-        EXPECT_EQ(base.feasible, other.feasible);
+      const auto other = run_ssam(inst, eager_ref);
+      ASSERT_EQ(base.winners.size(), other.winners.size());
+      for (std::size_t pos = 0; pos < base.winners.size(); ++pos) {
+        EXPECT_EQ(base.winners[pos].bid_index, other.winners[pos].bid_index);
+        EXPECT_EQ(base.winners[pos].payment, other.winners[pos].payment);
       }
+      EXPECT_EQ(base.social_cost, other.social_cost);
+      EXPECT_EQ(base.total_payment, other.total_payment);
+      EXPECT_EQ(base.feasible, other.feasible);
     }
   }
 }
 
-TEST(CompiledEquivalence, SelectionModesAreAPurePerformanceKnob) {
-  rng gen(11);
-  instance_config cfg;
-  cfg.sellers = 25;
-  cfg.demanders = 5;
-  const auto inst = random_instance(cfg, gen);
-  const auto base = greedy_selection(inst);
-  EXPECT_EQ(base, eager_greedy_selection(inst));
-  for (const selection_mode mode :
-       {selection_mode::eager, selection_mode::lazy}) {
+// ------------------------------------------------------------ golden digest
+
+// Serializes every field of an SSAM result (doubles as bit patterns).
+void fold_result(checkpoint_writer& w, const ssam_result& r) {
+  w.size(r.winners.size());
+  for (const winning_bid& win : r.winners) {
+    w.size(win.bid_index);
+    w.f64(win.payment);
+    w.i64(win.utility_at_selection);
+    w.f64(win.ratio_at_selection);
+  }
+  w.u8(r.feasible ? 1 : 0);
+  w.f64(r.social_cost);
+  w.f64(r.total_payment);
+  w.size(r.budget_dropped);
+  w.size(r.unit_shares.size());
+  for (const double share : r.unit_shares) w.f64(share);
+  w.f64(r.xi);
+  w.f64(r.harmonic);
+  w.f64(r.ratio_bound);
+  w.f64(r.dual_objective);
+}
+
+// Pins the mechanism's observable output bit for bit: a fixed fuzz corpus
+// under runner_up, critical_value, and critical_value with a payment budget
+// that binds, plus every round of one standing-bid MSOA session. Any change
+// to selection, payments, budget enforcement or the certificate moves the
+// digest; a pure refactor of the SSAM paths must leave it untouched.
+TEST(GoldenDigest, SsamAndMsoaOutcomesArePinned) {
+  checkpoint_writer w;
+  rng gen(0x601D3Eu);
+  std::size_t budget_bound = 0;
+  std::size_t budget_dropped = 0;
+  for (int trial = 0; trial < 100; ++trial) {
+    instance_config cfg;
+    cfg.sellers = 4 + static_cast<std::size_t>(gen.uniform_int(0, 30));
+    cfg.demanders = 1 + static_cast<std::size_t>(gen.uniform_int(0, 9));
+    cfg.bids_per_seller = 1 + static_cast<std::size_t>(gen.uniform_int(0, 3));
+    cfg.amount_hi = 1 + gen.uniform_int(0, 9);
+    cfg.coverage_fraction =
+        0.3 + 0.1 * static_cast<double>(gen.uniform_int(0, 7));
+    const auto inst = random_instance(cfg, gen);
+
     ssam_options opts;
-    opts.selection = mode;
-    const auto res = run_ssam(inst, opts);
-    ASSERT_EQ(res.winners.size(), base.size());
-    for (std::size_t pos = 0; pos < base.size(); ++pos) {
-      EXPECT_EQ(res.winners[pos].bid_index, base[pos]);
-    }
-  }
-}
+    opts.payment_threads = 1;
+    opts.self_audit = true;
+    fold_result(w, run_ssam(inst, opts));
 
-TEST(CompiledEquivalence, AtMostOneReferencePathPerCall) {
-  const auto inst = two_seller_instance();
-  ssam_options opts;
-  opts.eager_reference = true;
-  opts.legacy_reference = true;
-  EXPECT_THROW(run_ssam(inst, opts), check_error);
+    opts.rule = payment_rule::critical_value;
+    const auto critical = run_ssam(inst, opts);
+    fold_result(w, critical);
+
+    opts.payment_budget = 0.6 * critical.total_payment;
+    const auto budgeted = run_ssam(inst, opts);
+    fold_result(w, budgeted);
+    if (budgeted.winners.size() < critical.winners.size()) ++budget_bound;
+    if (budgeted.budget_dropped > 0) ++budget_dropped;
+  }
+  // The budget lane really binds, in the selection gate and in the
+  // post-payment re-check.
+  EXPECT_GT(budget_bound, 50u) << budget_bound;
+  EXPECT_GT(budget_dropped, 0u) << budget_dropped;
+
+  // Standing bids: one bid vector, requirements re-drawn every round.
+  instance_config cfg;
+  cfg.sellers = 14;
+  cfg.demanders = 6;
+  const single_stage_instance base = random_instance(cfg, gen);
+  std::vector<seller_profile> profiles(cfg.sellers);
+  for (seller_profile& p : profiles) {
+    p.capacity = 60;
+    p.t_arrive = 1;
+    p.t_depart = 8;
+  }
+  msoa_options msoa_opts;
+  msoa_opts.stage.rule = payment_rule::critical_value;
+  msoa_opts.stage.payment_threads = 1;
+  msoa_session session(profiles, msoa_opts);
+  for (int t = 0; t < 8; ++t) {
+    single_stage_instance round = base;
+    for (units& x : round.requirements) x = gen.uniform_int(0, x);
+    const msoa_round_outcome out = session.run_round(round);
+    w.u32(out.round);
+    w.size(out.admitted_bids);
+    w.size(out.winner_bids.size());
+    for (std::size_t i = 0; i < out.winner_bids.size(); ++i) {
+      w.size(out.winner_bids[i]);
+      w.f64(out.true_prices[i]);
+      w.f64(out.payments[i]);
+    }
+    w.f64(out.social_cost);
+    w.u8(out.feasible ? 1 : 0);
+    fold_result(w, out.stage);
+    for (seller_id s = 0; s < cfg.sellers; ++s) w.f64(session.psi(s));
+  }
+  EXPECT_GT(session.warm_rounds(), 0u);
+
+  EXPECT_EQ(fnv1a64(w.payload()), 0x9099cbff281e2e69ULL)
+      << std::hex << fnv1a64(w.payload());
 }
 
 // --------------------------------------------------------------- runtime

@@ -204,29 +204,6 @@ TEST(ScratchReuse, FuzzEquivalentToFreshAllocation) {
   }
 }
 
-TEST(ScratchReuse, SelectionModesAgree) {
-  rng gen(99);
-  auction::ssam_scratch scratch;
-  for (std::size_t iter = 0; iter < 40; ++iter) {
-    const auto sellers = static_cast<std::size_t>(gen.uniform_int(2, 12));
-    const auto instance = auction::random_instance(
-        harness::internal::paper_stage(sellers, 4, 2), gen);
-    auction::ssam_result results[3];
-    const auction::selection_mode modes[3] = {
-        auction::selection_mode::automatic, auction::selection_mode::eager,
-        auction::selection_mode::lazy};
-    for (int m = 0; m < 3; ++m) {
-      auction::ssam_options opts;
-      opts.rule = (iter % 2 == 0) ? auction::payment_rule::critical_value
-                                  : auction::payment_rule::runner_up;
-      opts.selection = modes[m];
-      results[m] = auction::run_ssam(instance, opts, &scratch);
-    }
-    expect_same_result(results[0], results[1], "automatic vs eager");
-    expect_same_result(results[0], results[2], "automatic vs lazy");
-  }
-}
-
 TEST(ScratchReuse, MsoaSessionMatchesSerialReference) {
   // run_msoa reuses a session-internal scratch across rounds; re-running the
   // same instance must reproduce itself exactly (the session is fresh each
