@@ -10,10 +10,13 @@
 #include "auction/msoa.h"
 #include "auction/ssam.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "demand/estimator.h"
 #include "des/simulator.h"
+#include "edge/cluster.h"
 #include "edge/fair_share.h"
 #include "lp/simplex.h"
+#include "simrun/delivery.h"
 #include "workload/generator.h"
 
 namespace {
@@ -267,6 +270,96 @@ void BM_WorkloadRoundInto(benchmark::State& state) {
                           static_cast<std::int64_t>(batch.size()));
 }
 BENCHMARK(BM_WorkloadRoundInto)->Arg(1)->Arg(3)->Unit(benchmark::kMillisecond);
+
+// Fork-join latency of the shared pool: an empty fan-out over the pool's
+// width, so the caller and width - 1 woken workers each claim an index.
+void BM_ThreadPoolForkJoin(benchmark::State& state) {
+  ecrs::thread_pool& pool = ecrs::thread_pool::shared();
+  const std::size_t width = pool.size();
+  const auto touch = [](std::size_t i) { benchmark::DoNotOptimize(i); };
+  for (auto _ : state) {
+    pool.parallel_for(width, touch);
+  }
+  state.counters["width"] = static_cast<double>(width);
+}
+BENCHMARK(BM_ThreadPoolForkJoin)->UseRealTime();
+
+// One round's delivery at the daemon's size (the BM_WorkloadRoundInto
+// batch: ~1e5 requests over 32 services in 8 clouds, each service able to
+// serve its share). Arg 0: the single-stream DES delivery perfbench's
+// replica keeps as the reference path (des::simulator::schedule_stream,
+// lazy per-service advance). Arg 1: simrun::batch_delivery, the daemon's
+// per-service fan-out. Generating and closing the round are untimed.
+void BM_RoundDelivery(benchmark::State& state) {
+  ecrs::workload::generator_config cfg;
+  cfg.users = 6667;
+  cfg.microservices = 32;
+  cfg.sensitive_mean = 7.5;
+  cfg.tolerant_mean = 7.5;
+  cfg.regions = 8;
+  ecrs::workload::generator gen(cfg);
+  std::vector<ecrs::workload::qos_class> qos;
+  for (std::uint32_t m = 0; m < cfg.microservices; ++m) {
+    qos.push_back(gen.class_of(m));
+  }
+  ecrs::edge::cluster_config ccfg;
+  ccfg.clouds = 8;
+  ecrs::edge::cluster cluster(ccfg, qos);
+  for (std::uint32_t m = 0; m < cfg.microservices; ++m) {
+    cluster.service(m).set_allocation(6.0);  // ~5.2 arrives per second
+  }
+  const bool fan_out = state.range(0) == 1;
+  ecrs::des::simulator sim;
+  ecrs::simrun::batch_delivery delivery;
+  std::vector<ecrs::workload::request> batch;
+  std::vector<ecrs::des::sim_time> arrivals;
+  std::vector<double> clocks(cfg.microservices, 0.0);
+  double clock = 0.0;
+  std::uint64_t round = 0;
+  std::size_t delivered = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    gen.round_into(clock, 600.0, batch);
+    const double end = clock + 600.0;
+    state.ResumeTiming();
+    if (fan_out) {
+      delivery.deliver_round(cluster, batch, clock, end);
+    } else {
+      arrivals.resize(batch.size());
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        arrivals[i] = batch[i].arrival_time;
+      }
+      sim.schedule_stream(arrivals, [&](std::size_t i) {
+        const ecrs::workload::request& r = batch[i];
+        ecrs::edge::microservice& svc = cluster.service(r.microservice);
+        double& mark = clocks[r.microservice];
+        if (sim.now() > mark) {
+          svc.advance(mark, sim.now() - mark);
+          mark = sim.now();
+        }
+        svc.enqueue(r);
+      });
+      sim.run_until(end);
+      for (std::uint32_t m = 0; m < cfg.microservices; ++m) {
+        if (end > clocks[m]) {
+          cluster.service(m).advance(clocks[m], end - clocks[m]);
+          clocks[m] = end;
+        }
+      }
+    }
+    state.PauseTiming();
+    delivered += batch.size();
+    benchmark::DoNotOptimize(cluster.end_round(++round, 600.0));
+    clock = end;
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(delivered));
+}
+BENCHMARK(BM_RoundDelivery)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_MaxMinFairShare(benchmark::State& state) {
   ecrs::rng gen(5);

@@ -176,7 +176,8 @@ struct ssam_result {
 // with a warm scratch and payment_threads == 1 this is the 0-allocation
 // steady-state path (the value-returning overloads above cost one fresh
 // ssam_result worth of vectors per call); the parallel fan-out delegates
-// its chunking to the shared thread pool, which allocates per parallel_for.
+// its chunking to the shared thread pool, whose fork-join allocates
+// nothing itself.
 // Results are bit-identical to the value-returning overloads.
 void run_ssam(const single_stage_instance& instance,
               const ssam_options& options, ssam_scratch* scratch,

@@ -4,33 +4,35 @@
 
 namespace ecrs {
 
-double rng::exponential(double rate) {
-  ECRS_CHECK_MSG(rate > 0.0, "exponential rate must be positive");
-  double u;
-  do {
-    u = next_double();
-  } while (u <= 0.0);
-  return -std::log(u) / rate;
+double rng::exponential(double rate) { return exponential_dist(rate)(*this); }
+
+std::int64_t rng::poisson(double mean) { return poisson_dist(mean)(*this); }
+
+poisson_dist::poisson_dist(double mean) : mean_(mean) {
+  ECRS_CHECK_MSG(mean >= 0.0, "poisson mean must be non-negative");
+  if (mean < 30.0) {
+    threshold_ = std::exp(-mean);
+  } else {
+    root_ = std::sqrt(mean);
+  }
 }
 
-std::int64_t rng::poisson(double mean) {
-  ECRS_CHECK_MSG(mean >= 0.0, "poisson mean must be non-negative");
-  if (mean == 0.0) return 0;
-  if (mean < 30.0) {
+std::int64_t poisson_dist::operator()(rng& g) const {
+  if (mean_ == 0.0) return 0;
+  if (mean_ < 30.0) {
     // Knuth's multiplication method.
-    const double threshold = std::exp(-mean);
     std::int64_t k = 0;
     double product = 1.0;
     do {
       ++k;
-      product *= next_double();
-    } while (product > threshold);
+      product *= g.next_double();
+    } while (product > threshold_);
     return k - 1;
   }
   // Normal approximation, adequate for workload generation at large means.
-  const double gauss = std::sqrt(-2.0 * std::log(1.0 - next_double())) *
-                       std::cos(2.0 * 3.141592653589793 * next_double());
-  const double value = mean + std::sqrt(mean) * gauss + 0.5;
+  const double gauss = std::sqrt(-2.0 * std::log(1.0 - g.next_double())) *
+                       std::cos(2.0 * 3.141592653589793 * g.next_double());
+  const double value = mean_ + root_ * gauss + 0.5;
   return value < 0.0 ? 0 : static_cast<std::int64_t>(value);
 }
 

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -69,31 +70,17 @@ class rng {
   }
 
   // Uniform integer in [lo, hi] (inclusive). Unbiased via rejection.
-  // ECRS_NO_SANITIZE_INTEGER: the [lo,hi] span is computed in uint64 with
-  // intentional wrapping to cover the full-range case.
-  ECRS_NO_SANITIZE_INTEGER std::int64_t uniform_int(std::int64_t lo,
-                                                    std::int64_t hi) {
-    ECRS_CHECK_MSG(lo <= hi, "uniform_int range [" << lo << "," << hi << "]");
-    const std::uint64_t span =
-        static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
-    if (span == 0) return static_cast<std::int64_t>((*this)());  // full range
-    const std::uint64_t limit = max() - max() % span;
-    std::uint64_t draw;
-    do {
-      draw = (*this)();
-    } while (draw >= limit);
-    return lo + static_cast<std::int64_t>(draw % span);
-  }
+  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
   // Uniform real in [lo, hi).
-  double uniform_real(double lo, double hi) {
-    ECRS_CHECK(lo <= hi);
-    return lo + (hi - lo) * next_double();
-  }
+  double uniform_real(double lo, double hi);
 
   // Uniform double in [0, 1) with 53 bits of precision.
-  double next_double() {
-    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  double next_double() { return to_unit((*this)()); }
+
+  // The [0, 1) double a raw engine word maps to (its top 53 bits).
+  static double to_unit(std::uint64_t word) {
+    return static_cast<double>(word >> 11) * 0x1.0p-53;
   }
 
   bool bernoulli(double p) {
@@ -104,8 +91,7 @@ class rng {
   // Exponential with the given rate (lambda).
   double exponential(double rate);
 
-  // Poisson-distributed count with the given mean. Exact (Knuth) for small
-  // means, normal approximation with continuity correction for large means.
+  // Poisson-distributed count with the given mean (see poisson_dist).
   std::int64_t poisson(double mean);
 
   // Sample an index in [0, weights.size()) proportionally to weights.
@@ -143,5 +129,117 @@ class rng {
 
   std::array<std::uint64_t, 4> state_{};
 };
+
+// Distributions with their parameters fixed up front. The uniform and
+// exponential ones split a sample into a draw, which consumes the stream
+// (rejection loops included) and returns the accepted raw word, and a pure
+// finish that maps that word to the value. Draws must run in stream order;
+// finishes may run later, on any thread, in any order, and give the value
+// the one-shot rng member would have returned for the same stream. The
+// rng members are these classes, so each distribution has one definition.
+
+// Uniform integer in [lo, hi] (inclusive). The rejection limit is computed
+// once; draw() rejects the words at or above it, finish() reduces modulo
+// the span.
+class uniform_int_dist {
+ public:
+  // ECRS_NO_SANITIZE_INTEGER: the [lo,hi] span is computed in uint64 with
+  // intentional wrapping to cover the full-range case.
+  ECRS_NO_SANITIZE_INTEGER uniform_int_dist(std::int64_t lo, std::int64_t hi)
+      : lo_(lo) {
+    ECRS_CHECK_MSG(lo <= hi, "uniform_int range [" << lo << "," << hi << "]");
+    span_ = static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
+    if (span_ != 0) last_ = rng::max() - rng::max() % span_ - 1;
+  }
+
+  [[nodiscard]] std::uint64_t draw(rng& g) const {
+    std::uint64_t word;
+    do {
+      word = g();
+    } while (word > last_);
+    return word;
+  }
+
+  // ECRS_NO_SANITIZE_INTEGER: the offset from lo wraps for spans past
+  // 2^63, exactly as the unsplit arithmetic did.
+  ECRS_NO_SANITIZE_INTEGER [[nodiscard]] std::int64_t finish(
+      std::uint64_t word) const {
+    if (span_ == 0) return static_cast<std::int64_t>(word);  // full range
+    return lo_ + static_cast<std::int64_t>(word % span_);
+  }
+
+  std::int64_t operator()(rng& g) const { return finish(draw(g)); }
+
+ private:
+  std::int64_t lo_;
+  std::uint64_t span_ = 0;             // hi - lo + 1; 0 = the full range
+  std::uint64_t last_ = rng::max();    // largest accepted word
+};
+
+// Uniform real in [lo, hi): one word, scaled.
+class uniform_real_dist {
+ public:
+  uniform_real_dist(double lo, double hi) : lo_(lo), width_(hi - lo) {
+    ECRS_CHECK(lo <= hi);
+  }
+
+  [[nodiscard]] static std::uint64_t draw(rng& g) { return g(); }
+  [[nodiscard]] double finish(std::uint64_t word) const {
+    return lo_ + width_ * rng::to_unit(word);
+  }
+  double operator()(rng& g) const { return finish(draw(g)); }
+
+ private:
+  double lo_;
+  double width_;
+};
+
+// Exponential with rate lambda, by inversion: draw() rejects the words
+// whose unit value is 0 (log(0) would be -inf), finish() is -log(u)/rate.
+class exponential_dist {
+ public:
+  explicit exponential_dist(double rate) : rate_(rate) {
+    ECRS_CHECK_MSG(rate > 0.0, "exponential rate must be positive");
+  }
+
+  [[nodiscard]] static std::uint64_t draw(rng& g) {
+    std::uint64_t word;
+    do {
+      word = g();
+    } while (rng::to_unit(word) <= 0.0);
+    return word;
+  }
+  [[nodiscard]] double finish(std::uint64_t word) const {
+    return -std::log(rng::to_unit(word)) / rate_;
+  }
+  double operator()(rng& g) const { return finish(draw(g)); }
+
+ private:
+  double rate_;
+};
+
+// Poisson count with the given mean: exact (Knuth's multiplication method)
+// below a mean of 30, the normal approximation with continuity correction
+// above. The constructor computes exp(-mean) (or sqrt(mean)) once, so a
+// caller drawing many counts at one mean pays it once. A count decides how
+// many words it consumes, so it has no draw/finish split.
+class poisson_dist {
+ public:
+  explicit poisson_dist(double mean);
+  std::int64_t operator()(rng& g) const;
+
+ private:
+  double mean_;
+  double threshold_ = 0.0;  // exp(-mean), Knuth's stopping product
+  double root_ = 0.0;       // sqrt(mean), the normal approximation's sigma
+};
+
+inline std::int64_t rng::uniform_int(std::int64_t lo, std::int64_t hi) {
+  return uniform_int_dist(lo, hi)(*this);
+}
+
+inline double rng::uniform_real(double lo, double hi) {
+  return uniform_real_dist(lo, hi)(*this);
+}
 
 }  // namespace ecrs

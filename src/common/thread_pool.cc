@@ -1,49 +1,35 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <memory>
+#include <atomic>
+#include <exception>
 
 namespace ecrs {
 namespace {
 
-// Shared drain state of one parallel_for call. Kept alive by shared_ptr so
-// pool tasks that start after the caller already returned (e.g. when an
-// exception cut the range short) find valid state and exit immediately.
-struct drain_state {
-  std::function<void(std::size_t)> fn;
-  std::size_t n = 0;
-  mutex m;
-  condition_variable done;
-  std::size_t next ECRS_GUARDED_BY(m) = 0;       // first unclaimed index
-  std::size_t in_flight ECRS_GUARDED_BY(m) = 0;  // claimed but not finished
-  std::exception_ptr err ECRS_GUARDED_BY(m);
-};
-
-void drain(const std::shared_ptr<drain_state>& s) {
-  for (;;) {
-    std::size_t index;
-    {
-      mutex_lock lock(s->m);
-      if (s->next >= s->n) return;
-      index = s->next++;
-      ++s->in_flight;
-    }
-    try {
-      s->fn(index);
-    } catch (...) {
-      mutex_lock lock(s->m);
-      if (!s->err) s->err = std::current_exception();
-      s->next = s->n;  // abandon the rest of the range
-    }
-    {
-      mutex_lock lock(s->m);
-      --s->in_flight;
-      if (s->next >= s->n && s->in_flight == 0) s->done.notify_all();
-    }
-  }
-}
+// Yields a joining caller makes before it sleeps on job_done_.
+constexpr int kJoinSpins = 64;
 
 }  // namespace
+
+// One parallel_for call, on the caller's stack. The cursor, the failure
+// flag and the attached count are shared lock-free; the list link and the
+// open slots are guarded by the owning pool's mutex_. Helpers attach under
+// the mutex while the job is listed; the caller unlinks it once its own
+// claims run dry and returns only after `attached` drops to zero, so no
+// helper touches the job after its frame is gone.
+struct thread_pool::job {
+  index_fn fn{};
+  std::size_t n = 0;
+  std::size_t grain = 1;                // indices per claim
+  std::atomic<std::size_t> next{0};     // first unclaimed index
+  std::atomic<bool> failed{false};
+  std::exception_ptr error;             // written by whoever set `failed`
+  std::atomic<std::size_t> attached{0};  // helpers inside claim_chunks
+  std::size_t open_slots = 0;            // helpers that may still attach
+  bool caller_asleep = false;            // the caller waits on job_done_
+  job* next_job = nullptr;               // link in thread_pool::jobs_
+};
 
 thread_pool::thread_pool(std::size_t threads) {
   if (threads == 0) {
@@ -64,61 +50,107 @@ thread_pool::~thread_pool() {
   for (std::thread& w : workers_) w.join();
 }
 
-void thread_pool::worker_loop() {
+void thread_pool::claim_chunks(job& j) {
   for (;;) {
-    std::function<void()> task;
-    {
-      mutex_lock lock(mutex_);
-      while (!stopping_ && tasks_.empty()) work_ready_.wait(lock);
-      if (tasks_.empty()) return;  // stopping, queue drained
-      task = std::move(tasks_.front());
-      tasks_.pop_front();
+    const std::size_t begin =
+        j.next.fetch_add(j.grain, std::memory_order_relaxed);
+    if (begin >= j.n) return;
+    const std::size_t end = std::min(j.n, begin + j.grain);
+    try {
+      for (std::size_t i = begin; i < end; ++i) j.fn.call(j.fn.fn, i);
+    } catch (...) {
+      if (!j.failed.exchange(true)) j.error = std::current_exception();
+      j.next.store(j.n, std::memory_order_relaxed);  // abandon the rest
+      return;
     }
-    task();
   }
 }
 
-void thread_pool::parallel_for(std::size_t n,
-                               const std::function<void(std::size_t)>& fn,
-                               std::size_t max_workers) {
-  if (n == 0) return;
-  auto state = std::make_shared<drain_state>();
-  state->fn = fn;
-  state->n = n;
+void thread_pool::unlink(job& j) {
+  job** link = &jobs_;
+  while (*link != &j) link = &(*link)->next_job;
+  *link = j.next_job;
+  j.next_job = nullptr;
+  j.open_slots = 0;
+}
 
-  // One helper per worker (capped by the range and by `max_workers`, which
-  // counts the calling thread); the caller drains too, so n == 1 or a fully
-  // busy pool never deadlocks.
-  std::size_t helpers = n > 1 ? std::min(size(), n) : 0;
-  if (max_workers > 0) helpers = std::min(helpers, max_workers - 1);
-  {
+void thread_pool::worker_loop() {
+  for (;;) {
+    job* j = nullptr;
+    {
+      mutex_lock lock(mutex_);
+      while (!stopping_ && jobs_ == nullptr) work_ready_.wait(lock);
+      if (jobs_ == nullptr) return;  // stopping, no job left to help
+      j = jobs_;
+      j->attached.fetch_add(1, std::memory_order_relaxed);
+      if (--j->open_slots == 0) unlink(*j);
+    }
+    claim_chunks(*j);
+    // Detach under the mutex, reading the caller's state before the count
+    // drops: once it reaches zero the caller may return, and only the
+    // pool's own members are touched after that.
     mutex_lock lock(mutex_);
-    for (std::size_t h = 0; h < helpers; ++h) {
-      tasks_.emplace_back([state] { drain(state); });
+    const bool wake = j->caller_asleep;
+    if (j->attached.fetch_sub(1, std::memory_order_release) == 1 && wake) {
+      job_done_.notify_all();
     }
   }
-  if (helpers > 0) work_ready_.notify_all();
+}
 
-  drain(state);
-  mutex_lock lock(state->m);
-  while (!(state->next >= state->n && state->in_flight == 0)) {
-    state->done.wait(lock);
+void thread_pool::fork_join(std::size_t n, index_fn fn,
+                            std::size_t max_workers) {
+  if (n == 0) return;
+  // Helpers besides the calling thread, which drains too: n == 1 or a
+  // fully busy pool never deadlocks.
+  std::size_t helpers = std::min(size(), n - 1);
+  if (max_workers > 0) helpers = std::min(helpers, max_workers - 1);
+  if (helpers == 0) {
+    for (std::size_t i = 0; i < n; ++i) fn.call(fn.fn, i);
+    return;
   }
-  if (state->err) std::rethrow_exception(state->err);
+  job j;
+  j.fn = fn;
+  j.n = n;
+  // About four claims per participant: few cursor round trips, and a
+  // participant that starts late still finds work to share.
+  j.grain = std::max<std::size_t>(1, n / (4 * (helpers + 1)));
+  {
+    mutex_lock lock(mutex_);
+    j.open_slots = helpers;
+    job** tail = &jobs_;
+    while (*tail != nullptr) tail = &(*tail)->next_job;
+    *tail = &j;
+  }
+  if (helpers == size()) {
+    work_ready_.notify_all();
+  } else {
+    for (std::size_t h = 0; h < helpers; ++h) work_ready_.notify_one();
+  }
+
+  claim_chunks(j);
+  {
+    mutex_lock lock(mutex_);
+    if (j.open_slots > 0) unlink(j);  // no late helper may attach
+  }
+  // The attached helpers are running their last claims: spin briefly, so
+  // a short join costs no wake-up, then sleep until the last one detaches.
+  for (int spin = 0; spin < kJoinSpins; ++spin) {
+    if (j.attached.load(std::memory_order_acquire) == 0) break;
+    std::this_thread::yield();
+  }
+  if (j.attached.load(std::memory_order_acquire) != 0) {
+    mutex_lock lock(mutex_);
+    j.caller_asleep = true;
+    while (j.attached.load(std::memory_order_acquire) != 0) {
+      job_done_.wait(lock);
+    }
+  }
+  if (j.error) std::rethrow_exception(j.error);
 }
 
 thread_pool& thread_pool::shared() {
   static thread_pool pool;
   return pool;
-}
-
-void parallel_for(thread_pool* pool, std::size_t n,
-                  const std::function<void(std::size_t)>& fn) {
-  if (pool == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  pool->parallel_for(n, fn);
 }
 
 }  // namespace ecrs

@@ -16,6 +16,14 @@ double ms_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+// Fewest demanders in a round for which the shard fan-out and the
+// spillover assembly go to the pool. Measured on 4 cores with 8 regions
+// (bench/shard_scaling, 8 sellers per region): the parallel horizon was
+// still slower than serial at 8192 demanders per round (0.55 vs 0.36 ms)
+// and faster from 32768 (0.92 vs 1.55 ms). Smaller rounds run inline,
+// where the fork-join would cost more than the work it spreads.
+constexpr std::size_t kParallelDemanders = 16384;
+
 }  // namespace
 
 marketplace::marketplace(
@@ -65,8 +73,14 @@ void marketplace::run_round(const auction::regional_instance& round,
   // 1. Fan out the local rounds. Each shard writes only its own result
   // slot and its own mailbox slot, so the stage is lock-free and the
   // outcome is independent of scheduling.
+  std::size_t demanders = 0;
+  for (const auction::single_stage_instance& region : round.regions) {
+    demanders += region.requirements.size();
+  }
+  const std::size_t threads =
+      demanders < kParallelDemanders ? 1 : options_.threads;
   const auto shard_start = std::chrono::steady_clock::now();
-  if (options_.threads == 1 || n == 1) {
+  if (threads == 1 || n == 1) {
     for (std::size_t r = 0; r < n; ++r) {
       shards_[r].run_round(round.regions[r], po_, out.shards[r]);
     }
@@ -76,7 +90,7 @@ void marketplace::run_round(const auction::regional_instance& round,
         [&](std::size_t r) {
           shards_[r].run_round(round.regions[r], po_, out.shards[r]);
         },
-        options_.threads);
+        threads);
   }
   timing_.shard_ms = ms_since(shard_start);
 
@@ -98,7 +112,7 @@ void marketplace::run_round(const auction::regional_instance& round,
                    std::span<const shard>(shards_),
                    std::span<const shard_round>(out.shards),
                    std::span<const message>(requests_), options_.spillover,
-                   options_.threads, po_, out.spillover);
+                   threads, po_, out.spillover);
   timing_.spill_ms = ms_since(spill_start);
   timing_.spill_assembly_ms = spill_stage_.assembly_ms();
 

@@ -38,7 +38,9 @@ struct marketplace_options {
   // Worker threads for the shard fan-out and the spillover candidate
   // assembly: 1 = serial on the calling thread, 0 = the shared pool at
   // hardware width, k = at most k workers. Results are identical for
-  // every setting.
+  // every setting. A round with fewer than 16384 demanders runs both
+  // stages inline whatever the setting: below that the fork-join costs
+  // more than the work it spreads (marketplace.cc).
   std::size_t threads = 0;
 };
 

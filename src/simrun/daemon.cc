@@ -178,28 +178,6 @@ daemon::daemon(daemon_setup setup)
   }
   estimates_.resize(services, 0.0);
   granted_.resize(services, 0);
-  service_clock_.assign(services, 0.0);
-}
-
-void daemon::catch_up(std::uint32_t m, double now) {
-  double& mark = service_clock_[m];
-  if (now > mark) {
-    cluster_.service(m).advance(mark, now - mark);
-    mark = now;
-  }
-}
-
-void daemon::deliver(std::size_t i) {
-  const workload::request& r = batch_[i];
-  edge::microservice& svc = cluster_.service(r.microservice);
-  const double now = sim_.now();
-  double& mark = service_clock_[r.microservice];
-  if (now > mark) {
-    svc.advance(mark, now - mark);
-    mark = now;
-  }
-  svc.enqueue(r);
-  ++delivered_;
 }
 
 churn_event daemon::churn_target(std::uint64_t ordinal) const {
@@ -272,25 +250,14 @@ void daemon::run_one_round() {
   apply_churn(r);
 
   gen_.round_into(start, dur, batch_);
-  if (!batch_.empty()) {
-    arrivals_.resize(batch_.size());
-    for (std::size_t i = 0; i < batch_.size(); ++i) {
-      arrivals_[i] = batch_[i].arrival_time;
-    }
-    sim_.schedule_stream(arrivals_,
-                         [this](std::size_t i) { deliver(i); });
-  }
-  sim_.run_until(end);
-  // The stream must have fully drained: batch_ and arrivals_ are reused
-  // next round, so a leaked cursor would read recycled storage.
-  ECRS_CHECK_MSG(sim_.pending_events() == 0,
-                 "arrivals leaked past the round boundary");
+  delivery_.deliver_round(cluster_, batch_, clock_, end);
+  delivered_ += batch_.size();
+  clock_ = end;
 
   const auto services =
       static_cast<std::uint32_t>(cluster_.microservice_count());
   if (probe_) probe_(true);
   for (std::uint32_t m = 0; m < services; ++m) {
-    catch_up(m, end);
     estimator_.observe(
         cluster_.service(m).end_round(r, dur, population_[m]));
   }
@@ -316,7 +283,7 @@ void daemon::save(ecrs::checkpoint_writer& w) const {
   // The boundary clock mark (all per-service clocks are equal between
   // rounds). Serialized, never recomputed, so the restored FP state is the
   // straight-through run's bit for bit.
-  w.f64(service_clock_.empty() ? 0.0 : service_clock_[0]);
+  w.f64(clock_);
   gen_.save(w);
   cluster_.save(w);
   estimator_.save(w);
@@ -324,12 +291,11 @@ void daemon::save(ecrs::checkpoint_writer& w) const {
 }
 
 void daemon::load(ecrs::checkpoint_reader& r) {
-  ECRS_CHECK_MSG(completed_ == 0 && sim_.now() == 0.0,
+  ECRS_CHECK_MSG(completed_ == 0,
                  "checkpoints restore into a freshly constructed daemon");
   completed_ = r.u64();
   delivered_ = r.u64();
-  const double mark = r.f64();
-  service_clock_.assign(service_clock_.size(), mark);
+  clock_ = r.f64();
   gen_.load(r);
   cluster_.load(r);
   estimator_.load(r);

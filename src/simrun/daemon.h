@@ -5,10 +5,20 @@
 //
 //   1. scenario: set the round's arrival-rate multiplier (diurnal cycle,
 //      flash crowds — simrun/scenario.h) and apply seller churn events;
-//   2. simulate: generate the round's request batch, register it as one
-//      DES stream (des::simulator::schedule_stream) and run the event
-//      clock to the round boundary — every request is delivered at its
-//      exact arrival timestamp, queues advance lazily per microservice;
+//   2. simulate: generate the round's request batch (a serial pass over
+//      the rng stream, then parallel passes that finish the draws and
+//      sort the batch by arrival time — workload/generator.h) and deliver
+//      it per service (simrun/delivery.h): each pool worker owns a
+//      contiguous range of microservices, reads the whole batch in time
+//      order, advances each of its services lazily to each of its
+//      arrivals and enqueues it, then advances them to the round boundary.
+//      Every queue sees exactly what a single DES stream over the batch
+//      (des::simulator::schedule_stream, kept as the reference path in
+//      perfbench's replica) would give it, so results do not depend on
+//      the thread count. All fan-out goes through thread_pool::shared(),
+//      and each pass falls back to running inline while timing shows the
+//      fan-out does not pay (common/fan_out_tuner.h); the daemon creates
+//      no thread;
 //   3. observe: close each microservice's round directly into the demand
 //      estimator's streaming path (demand::estimator::observe — no
 //      round_stats vector is materialized) and finalize the round's
@@ -22,7 +32,7 @@
 //      coverage minus deficits plus spillover awards) become its service
 //      rate for the next round — allocation = base + per_unit · granted.
 //
-// Steady state is allocation-free and rebuild-free: the batch/arrival
+// Steady state is allocation-free and rebuild-free: the batch and sort
 // buffers, estimator history, ingest accumulators, shard warm-start
 // caches and spillover pools all reuse their storage, so the per-round
 // observe → estimate → ingest → auction chain performs zero heap
@@ -43,14 +53,17 @@
 #include <string>
 #include <vector>
 
-#include "common/annotations.h"
 #include "common/checkpoint.h"
 #include "demand/estimator.h"
-#include "des/simulator.h"
+// Not used by the daemon itself: code written against this header
+// (perfbench's replica, whose serial DES delivery is the reference path)
+// reaches the DES through it.
+#include "des/simulator.h"  // IWYU pragma: export
 #include "edge/cluster.h"
 #include "edge/topology.h"
 #include "market/ingest.h"
 #include "market/marketplace.h"
+#include "simrun/delivery.h"
 #include "simrun/scenario.h"
 #include "workload/generator.h"
 
@@ -142,10 +155,6 @@ class daemon {
   void run_one_round();
   void apply_churn(std::uint64_t round);
   [[nodiscard]] churn_event churn_target(std::uint64_t ordinal) const;
-  // Deliver batch_[i] at its arrival timestamp (stream drain callback).
-  ECRS_HOT void deliver(std::size_t i);
-  // Advance service `m` to simulated time `now` from its own clock.
-  ECRS_HOT void catch_up(std::uint32_t m, double now);
   // Close the loop: turn the round's coverage into next-round allocations.
   void apply_allocations(const auction::regional_instance& inst,
                          const market::marketplace_round& out);
@@ -160,19 +169,19 @@ class daemon {
   edge::topology topo_;  // must outlive market_
   market::marketplace market_;
   market::round_ingestor ingestor_;
-  des::simulator sim_;
+  batch_delivery delivery_;
   round_callback callback_;
   chain_probe probe_;
   std::vector<std::uint32_t> seller_counts_;  // per region
   std::vector<std::uint32_t> population_;     // per microservice, static
   // Round-scoped buffers, reused so steady-state rounds do not allocate.
   std::vector<workload::request> batch_;
-  std::vector<des::sim_time> arrivals_;
   std::vector<double> estimates_;
   std::vector<auction::units> granted_;
   market::marketplace_round market_out_;
-  // Per-microservice lazy-advance clocks (all equal at round boundaries).
-  std::vector<double> service_clock_;
+  // Every service's clock at the last round boundary (they advance to the
+  // boundary together at the end of each round's delivery).
+  double clock_ = 0.0;
   std::uint64_t completed_ = 0;
   std::uint64_t delivered_ = 0;
 };

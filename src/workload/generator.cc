@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <utility>
 
 #include "common/check.h"
+#include "common/stopwatch.h"
+#include "common/thread_pool.h"
 
 namespace ecrs::workload {
 namespace {
@@ -26,6 +29,27 @@ std::size_t clamped_bucket(double k, std::size_t count) {
 template <typename T>
 void grow_to(std::vector<T>& v, std::size_t n) {
   if (v.size() < n) v.resize(n);
+}
+
+// Fewest requests worth handing to another thread: below this a share of
+// a pass costs less than the fork-join that would spread it.
+constexpr std::size_t kMinShare = 8192;
+
+// Pieces a pass over n requests splits into: one per pool worker, none
+// smaller than kMinShare, so a small batch runs inline.
+std::size_t fan_out_width(std::size_t n) {
+  if (n < 2 * kMinShare) return 1;
+  return std::min(n / kMinShare, thread_pool::shared().size());
+}
+
+// Runs fn(0..pieces) on the shared pool, or inline for a single piece.
+template <typename Fn>
+void fan_out(std::size_t pieces, Fn&& fn) {
+  if (pieces == 1) {
+    fn(std::size_t{0});
+  } else {
+    thread_pool::shared().parallel_for(pieces, fn);
+  }
 }
 
 }  // namespace
@@ -49,16 +73,33 @@ void arrival_sorter::sort(std::vector<request>& batch, double window_start,
   }
   grow_to(ends_, buckets);
   grow_to(cursors_, buckets + 1);
-  std::fill_n(cursors_.begin(), buckets + 1, 0u);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t b = clamped_bucket(
-        (batch[i].arrival_time - window_start) * scale, buckets);
-    keys_[i] = static_cast<std::uint16_t>(b);
-    ++cursors_[b + 1];
-  }
+  // Keys and bucket counts, per contiguous slice of the batch (one slice
+  // per run, each counting into its own scratch).
+  const std::size_t width = fan_out_width(n);
+  const bool wide = width > 1 && tuner_.fan_out();
+  const std::size_t runs = wide ? width : 1;
+  const stopwatch watch;
+  if (scratch_.size() < runs) scratch_.resize(runs);
+  fan_out(runs, [&](std::size_t run) {
+    std::vector<std::uint32_t>& counts = scratch_[run].counts;
+    grow_to(counts, buckets);
+    std::fill_n(counts.begin(), buckets, 0u);
+    const std::size_t hi = (run + 1) * n / runs;
+    for (std::size_t i = run * n / runs; i < hi; ++i) {
+      const std::size_t b = clamped_bucket(
+          (batch[i].arrival_time - window_start) * scale, buckets);
+      keys_[i] = static_cast<std::uint16_t>(b);
+      ++counts[b];
+    }
+  });
   // cursors_[b] = first slot of bucket b; ends_[b] = one past its last.
+  cursors_[0] = 0;
   for (std::size_t b = 0; b < buckets; ++b) {
-    cursors_[b + 1] += cursors_[b];
+    std::uint32_t count = 0;
+    for (std::size_t run = 0; run < runs; ++run) {
+      count += scratch_[run].counts[b];
+    }
+    cursors_[b + 1] = cursors_[b] + count;
     ends_[b] = cursors_[b + 1];
   }
   // American-flag permutation: carry each misplaced request to the next
@@ -83,38 +124,53 @@ void arrival_sorter::sort(std::vector<request>& batch, double window_start,
   }
 
   // Level 2: each coarse bucket (~10 KB) is counting-scattered by a fine
-  // key (one fine bucket per request) into bucket_, then insertion-sorted
-  // back into place; the scatter leaves almost nothing to fix up.
-  std::uint32_t lo = 0;
-  for (std::size_t b = 0; b < buckets; ++b) {
-    const std::uint32_t hi = ends_[b];
-    const std::size_t m = hi - lo;
-    if (m > 1) {
-      const std::size_t fine = std::min<std::size_t>(m, std::size_t{1} << 16);
-      const auto base = static_cast<double>(b);
-      const auto fine_scale = static_cast<double>(fine);
-      grow_to(cursors_, fine + 1);
-      grow_to(bucket_, m);
-      std::fill_n(cursors_.begin(), fine + 1, 0u);
-      for (std::uint32_t i = lo; i < hi; ++i) {
-        const double k = (batch[i].arrival_time - window_start) * scale;
-        const std::size_t f = clamped_bucket((k - base) * fine_scale, fine);
-        keys_[i] = static_cast<std::uint16_t>(f);
-        ++cursors_[f + 1];
+  // key (one fine bucket per request) into the run's scratch, then
+  // insertion-sorted back into place; the scatter leaves almost nothing to
+  // fix up. Buckets are disjoint slices of the batch, so contiguous runs
+  // of them sort in parallel.
+  fan_out(runs, [&](std::size_t run) {
+    run_scratch& scratch = scratch_[run];
+    const std::size_t first = run * buckets / runs;
+    const std::size_t last = (run + 1) * buckets / runs;
+    std::uint32_t lo = first == 0 ? 0 : ends_[first - 1];
+    for (std::size_t b = first; b < last; ++b) {
+      const std::uint32_t hi = ends_[b];
+      const std::size_t m = hi - lo;
+      if (m > 1) {
+        sort_bucket(batch.data() + lo, m, keys_.data() + lo,
+                    static_cast<double>(b), window_start, scale, scratch);
       }
-      for (std::size_t f = 0; f < fine; ++f) cursors_[f + 1] += cursors_[f];
-      for (std::uint32_t i = lo; i < hi; ++i) {
-        bucket_[cursors_[keys_[i]]++] = batch[i];
-      }
-      request* out = batch.data() + lo;
-      for (std::size_t i = 0; i < m; ++i) {
-        const request& x = bucket_[i];
-        std::size_t j = i;
-        for (; j > 0 && arrives_before(x, out[j - 1]); --j) out[j] = out[j - 1];
-        out[j] = x;
-      }
+      lo = hi;
     }
-    lo = hi;
+  });
+  if (width > 1) tuner_.record(wide, watch.elapsed_seconds(), n);
+}
+
+void arrival_sorter::sort_bucket(request* out, std::size_t m,
+                                 std::uint16_t* keys, double base,
+                                 double window_start, double scale,
+                                 run_scratch& scratch) {
+  const std::size_t fine = std::min<std::size_t>(m, std::size_t{1} << 16);
+  const auto fine_scale = static_cast<double>(fine);
+  std::vector<std::uint32_t>& cursors = scratch.cursors;
+  grow_to(cursors, fine + 1);
+  grow_to(scratch.bucket, m);
+  std::fill_n(cursors.begin(), fine + 1, 0u);
+  for (std::size_t i = 0; i < m; ++i) {
+    const double k = (out[i].arrival_time - window_start) * scale;
+    const std::size_t f = clamped_bucket((k - base) * fine_scale, fine);
+    keys[i] = static_cast<std::uint16_t>(f);
+    ++cursors[f + 1];
+  }
+  for (std::size_t f = 0; f < fine; ++f) cursors[f + 1] += cursors[f];
+  for (std::size_t i = 0; i < m; ++i) {
+    scratch.bucket[cursors[keys[i]]++] = out[i];
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    const request& x = scratch.bucket[i];
+    std::size_t j = i;
+    for (; j > 0 && arrives_before(x, out[j - 1]); --j) out[j] = out[j - 1];
+    out[j] = x;
   }
 }
 
@@ -190,46 +246,82 @@ void generator::round_into(double round_start, double duration,
   const auto want = static_cast<std::size_t>(
       expected + 4.0 * std::sqrt(std::max(expected, 1.0)) + 16.0);
   if (batch.capacity() < want) batch.reserve(want);
-  // Exponential rate of each QoS class's service demand (index = qos).
-  const double demand_rate[2] = {
-      1.0 / mean_demand_of(qos_class::delay_sensitive),
-      1.0 / mean_demand_of(qos_class::delay_tolerant)};
+
+  // Each class's microservices: a class with none falls back to the full
+  // id space.
+  const auto targets = [&](qos_class cls) -> const std::vector<std::uint32_t>& {
+    return cls == qos_class::delay_sensitive ? sensitive_ids_ : tolerant_ids_;
+  };
+  const auto pick_in = [&](qos_class cls) {
+    const std::vector<std::uint32_t>& ids = targets(cls);
+    const std::size_t span = ids.empty() ? config_.microservices : ids.size();
+    return uniform_int_dist(0, static_cast<std::int64_t>(span) - 1);
+  };
+  // Per-class draw parameters, fixed for the round (index = qos).
+  const poisson_dist count[2] = {
+      poisson_dist(config_.sensitive_mean * rate_scale_),
+      poisson_dist(config_.tolerant_mean * rate_scale_)};
+  const uniform_int_dist pick[2] = {pick_in(qos_class::delay_sensitive),
+                                    pick_in(qos_class::delay_tolerant)};
+  const uniform_real_dist offset(0.0, duration);
+  const exponential_dist demand[2] = {
+      exponential_dist(1.0 / mean_demand_of(qos_class::delay_sensitive)),
+      exponential_dist(1.0 / mean_demand_of(qos_class::delay_tolerant))};
+
+  // Pass 1, serial: the stream's draws in their fixed order. Each user
+  // issues a Poisson number of requests per class per round, spread over
+  // the microservices of that class uniformly at random; every request
+  // takes a target, an arrival offset and a service demand. The raw words
+  // are parked in the request's own slots: the target word in `id`, the
+  // drawing class in `qos`, and the offset and demand words' bits in
+  // their double fields.
+  const std::uint64_t first_id = next_request_id_;
   for (std::uint32_t user = 0; user < config_.users; ++user) {
-    // Each user issues a Poisson number of requests per class per round and
-    // spreads them over microservices of that class uniformly at random.
     for (const qos_class cls :
          {qos_class::delay_sensitive, qos_class::delay_tolerant}) {
-      const double mean = (cls == qos_class::delay_sensitive
-                               ? config_.sensitive_mean
-                               : config_.tolerant_mean) *
-                          rate_scale_;
-      const std::int64_t count = gen_.poisson(mean);
-      const std::vector<std::uint32_t>& ids =
-          cls == qos_class::delay_sensitive ? sensitive_ids_ : tolerant_ids_;
-      for (std::int64_t k = 0; k < count; ++k) {
-        // Pick a target microservice of the matching class in one draw;
-        // an empty class falls back to any microservice.
-        std::uint32_t target;
-        if (!ids.empty()) {
-          target = ids[static_cast<std::size_t>(gen_.uniform_int(
-              0, static_cast<std::int64_t>(ids.size()) - 1))];
-        } else {
-          target = static_cast<std::uint32_t>(gen_.uniform_int(
-              0, static_cast<std::int64_t>(config_.microservices) - 1));
-        }
+      const auto c = static_cast<std::size_t>(cls);
+      const std::int64_t n = count[c](gen_);
+      for (std::int64_t k = 0; k < n; ++k) {
         request r;
-        r.id = next_request_id_++;
+        r.id = pick[c].draw(gen_);
         r.user = user;
-        r.microservice = target;
-        r.region = target % config_.regions;
-        r.qos = class_by_service_[target];
-        r.arrival_time = round_start + gen_.uniform_real(0.0, duration);
+        r.qos = cls;
+        r.arrival_time = std::bit_cast<double>(uniform_real_dist::draw(gen_));
         r.service_demand =
-            gen_.exponential(demand_rate[static_cast<std::size_t>(r.qos)]);
+            std::bit_cast<double>(exponential_dist::draw(gen_));
         batch.push_back(r);
       }
     }
   }
+  next_request_id_ += batch.size();
+
+  // Pass 2, in place and in parallel: finish every parked word. Pure per
+  // request, so the pieces may run in any order on any thread.
+  const std::size_t n = batch.size();
+  const std::size_t width = fan_out_width(n);
+  const bool wide = width > 1 && finish_tuner_.fan_out();
+  const std::size_t pieces = wide ? 4 * width : 1;
+  const stopwatch watch;
+  fan_out(pieces, [&](std::size_t piece) {
+    const std::size_t hi = (piece + 1) * n / pieces;
+    for (std::size_t i = piece * n / pieces; i < hi; ++i) {
+      request& r = batch[i];
+      const std::vector<std::uint32_t>& ids = targets(r.qos);
+      const auto drawn = static_cast<std::uint32_t>(
+          pick[static_cast<std::size_t>(r.qos)].finish(r.id));
+      const std::uint32_t target = ids.empty() ? drawn : ids[drawn];
+      r.id = first_id + i;
+      r.microservice = target;
+      r.region = target % config_.regions;
+      r.qos = class_by_service_[target];
+      r.arrival_time =
+          round_start +
+          offset.finish(std::bit_cast<std::uint64_t>(r.arrival_time));
+      r.service_demand = demand[static_cast<std::size_t>(r.qos)].finish(
+          std::bit_cast<std::uint64_t>(r.service_demand));
+    }
+  });
+  if (width > 1) finish_tuner_.record(wide, watch.elapsed_seconds(), n);
   sorter_.sort(batch, round_start, duration);
 }
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/checkpoint.h"
+#include "common/fan_out_tuner.h"
 #include "common/rng.h"
 #include "workload/request.h"
 #include "workload/round_source.h"
@@ -44,15 +45,19 @@ struct generator_config {
 // buckets over [window_start, window_start + window_length) (an
 // American-flag cycle permutation). Level 2 counting-scatters each coarse
 // bucket by a fine time key into a scratch buffer and insertion-sorts it
-// back into place. Bucket keys are monotone in arrival time, so the result
-// is correct for any finite times. Speed needs the times spread over the
-// window: requests that share a fine bucket (equal timestamps, or times
-// clamped into an end bucket from outside the window) are ordered by the
-// insertion sort alone, which is quadratic in their number.
+// back into place. For large batches the key pass and level 2 run in
+// parallel on thread_pool::shared() (or inline, when timing shows the
+// fan-out does not pay: common/fan_out_tuner.h). Bucket keys are monotone
+// in arrival time, so the result is correct for any finite times. Speed
+// needs the times spread over the window: requests that share a fine
+// bucket (equal timestamps, or times clamped into an end bucket from
+// outside the window) are ordered by the insertion sort alone, which is
+// quadratic in their number.
 //
-// Scratch: a 2-byte key per slot of the batch's capacity plus one coarse
-// bucket (and its fine counters); it grows on demand and never shrinks, so
-// sorting batches no larger than earlier ones allocates nothing.
+// Scratch: a 2-byte key per slot of the batch's capacity plus, per run,
+// its slice's bucket counts and one coarse bucket with its fine counters;
+// it grows on demand and never shrinks, so sorting batches no larger than
+// earlier ones allocates nothing.
 class arrival_sorter {
  public:
   // Requires window_length > 0.
@@ -60,10 +65,26 @@ class arrival_sorter {
             double window_length);
 
  private:
+  // One run's scratch: its batch slice's coarse bucket counts, then the
+  // fine counters and one scattered bucket for its level-2 buckets.
+  struct run_scratch {
+    std::vector<std::uint32_t> counts;
+    std::vector<std::uint32_t> cursors;
+    std::vector<request> bucket;
+  };
+
+  // Sorts the m requests of one coarse bucket (starting at `out`, keys at
+  // `keys`) by fine-scattering them into `scratch` and insertion-sorting
+  // them back.
+  static void sort_bucket(request* out, std::size_t m, std::uint16_t* keys,
+                          double base, double window_start, double scale,
+                          run_scratch& scratch);
+
   std::vector<std::uint16_t> keys_;     // coarse, then fine key per request
   std::vector<std::uint32_t> ends_;     // one past each coarse bucket
-  std::vector<std::uint32_t> cursors_;  // coarse, then fine bucket heads
-  std::vector<request> bucket_;         // one coarse bucket, fine-scattered
+  std::vector<std::uint32_t> cursors_;  // coarse bucket heads
+  std::vector<run_scratch> scratch_;    // one per run
+  fan_out_tuner tuner_;                 // the parallel passes, or inline
 };
 
 // Per-round batch: the requests that arrived during one auction round, in
@@ -89,6 +110,10 @@ class generator final : public round_source {
   // Same stream of requests, written into a caller-owned buffer: `batch` is
   // cleared, reserved from expected_arrivals_per_round(), and refilled, so
   // a driver that reuses one buffer pays no allocation in steady state.
+  // A serial pass consumes the rng stream and parks each request's raw
+  // words in its own slots; a parallel pass finishes them in place; then
+  // the batch is sorted (DESIGN.md section 14). Large batches fan out
+  // over thread_pool::shared(); the output is the same at any width.
   void round_into(double round_start, double duration,
                   std::vector<request>& batch) override;
 
@@ -120,6 +145,7 @@ class generator final : public round_source {
   // one uniform draw instead of rejection sampling the full id space.
   std::vector<std::uint32_t> sensitive_ids_;
   std::vector<std::uint32_t> tolerant_ids_;
+  fan_out_tuner finish_tuner_;  // pass 2 in parallel, or inline
   arrival_sorter sorter_;
 };
 

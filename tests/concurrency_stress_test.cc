@@ -6,8 +6,10 @@
 // count — so they are meaningful in plain and ASan builds too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -21,6 +23,11 @@
 #include "harness/experiments.h"
 #include "market/mailbox.h"
 #include "market/marketplace.h"
+
+namespace ecrs::test_support {
+// Operator-new calls so far, process-wide (tests/alloc_counter.cc).
+std::uint64_t allocations_now();
+}  // namespace ecrs::test_support
 
 namespace ecrs {
 namespace {
@@ -114,6 +121,167 @@ TEST(ThreadPoolStress, ExceptionUnderContentionLeavesPoolUsable) {
       });
       ASSERT_EQ(done.load(), 32u);
     }
+  }
+}
+
+// The fork-join keeps its job on the caller's stack and references the
+// callable, so once the pool's threads exist a parallel_for allocates
+// nothing: not plain, not nested, not capped, not from many callers.
+TEST(ThreadPoolStress, WarmParallelForAllocatesNothing) {
+  for (const std::size_t pool_size : stress_pool_sizes()) {
+    thread_pool pool(pool_size);
+    std::vector<std::atomic<int>> hits(1000);
+    const auto bump = [&hits](std::size_t i) {
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+    };
+    const auto nested = [&pool, &bump](std::size_t outer) {
+      pool.parallel_for(100, [&bump, outer](std::size_t inner) {
+        bump(outer * 100 + inner);
+      });
+    };
+    pool.parallel_for(hits.size(), bump);  // warm: threads are up
+    const std::uint64_t before = test_support::allocations_now();
+    for (int repeat = 0; repeat < 20; ++repeat) {
+      pool.parallel_for(hits.size(), bump);
+      pool.parallel_for(10, nested);
+      pool.parallel_for(hits.size(), bump, 2);
+      pool.parallel_for(1, bump);
+    }
+    EXPECT_EQ(test_support::allocations_now() - before, 0u)
+        << "pool size " << pool_size;
+    // Warm-up plus 20 x (plain, nested, capped); index 0 also 20 x alone.
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i].load(), i == 0 ? 81 : 61) << "index " << i;
+    }
+  }
+}
+
+// Chunked claims: every index of every range size runs exactly once,
+// with ranges smaller than, equal to and far larger than the pool.
+TEST(ThreadPoolStress, ChunkedClaimsCoverEveryIndexOnce) {
+  for (const std::size_t pool_size : stress_pool_sizes()) {
+    thread_pool pool(pool_size);
+    for (const std::size_t n :
+         {std::size_t{1}, std::size_t{2}, std::size_t{3}, pool_size,
+          pool_size + 1, std::size_t{63}, std::size_t{1000},
+          std::size_t{4097}}) {
+      std::vector<std::atomic<int>> hits(n);
+      pool.parallel_for(n, [&hits](std::size_t i) {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+      });
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(hits[i].load(), 1)
+            << "n " << n << " index " << i << " pool size " << pool_size;
+      }
+    }
+  }
+}
+
+// Several callers at once, each fanning out ranges whose items fan out
+// again: the nested jobs of every caller share the workers, and every
+// leaf slot is written exactly once.
+TEST(ThreadPoolStress, NestedChunkedFanOutsFromConcurrentCallers) {
+  for (const std::size_t pool_size : stress_pool_sizes()) {
+    thread_pool pool(pool_size);
+    constexpr std::size_t kCallers = 4;
+    constexpr std::size_t kOuter = 13;
+    constexpr std::size_t kInner = 37;
+    std::vector<std::vector<int>> leaves(
+        kCallers, std::vector<int>(kOuter * kInner, 0));
+    std::vector<std::thread> callers;
+    callers.reserve(kCallers);
+    for (std::size_t c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&pool, &leaves, c] {
+        for (int repeat = 0; repeat < 4; ++repeat) {
+          pool.parallel_for(kOuter, [&pool, &leaves, c](std::size_t o) {
+            pool.parallel_for(kInner, [&leaves, c, o](std::size_t i) {
+              ++leaves[c][o * kInner + i];
+            });
+          });
+        }
+      });
+    }
+    for (std::thread& t : callers) t.join();
+    for (std::size_t c = 0; c < kCallers; ++c) {
+      for (const int leaf : leaves[c]) {
+        ASSERT_EQ(leaf, 4) << "caller " << c << " pool size " << pool_size;
+      }
+    }
+  }
+}
+
+// A throwing index cuts only its own range short: the throwing caller gets
+// the exception, concurrent callers of the same pool finish every index,
+// and the pool keeps serving.
+TEST(ThreadPoolStress, ThrowingIndexLeavesConcurrentCallersWhole) {
+  for (const std::size_t pool_size : stress_pool_sizes()) {
+    thread_pool pool(pool_size);
+    constexpr std::size_t kCallers = 4;
+    constexpr std::size_t kItems = 300;
+    std::vector<std::size_t> completed(kCallers, 0);
+    std::vector<std::size_t> thrown(kCallers, 0);
+    std::vector<std::thread> callers;
+    callers.reserve(kCallers);
+    for (std::size_t c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&, c] {
+        for (int repeat = 0; repeat < 8; ++repeat) {
+          std::atomic<std::size_t> done{0};
+          try {
+            pool.parallel_for(kItems, [&done, c](std::size_t i) {
+              if (c % 2 == 1 && i == 150) ECRS_CHECK_MSG(false, "boom");
+              done.fetch_add(1, std::memory_order_relaxed);
+            });
+            if (done.load() == kItems) ++completed[c];
+          } catch (const check_error&) {
+            ++thrown[c];
+          }
+        }
+      });
+    }
+    for (std::thread& t : callers) t.join();
+    for (std::size_t c = 0; c < kCallers; ++c) {
+      EXPECT_EQ(completed[c], c % 2 == 1 ? 0u : 8u) << "caller " << c;
+      EXPECT_EQ(thrown[c], c % 2 == 1 ? 8u : 0u) << "caller " << c;
+    }
+    std::atomic<std::size_t> after{0};
+    pool.parallel_for(kItems, [&after](std::size_t) {
+      after.fetch_add(1, std::memory_order_relaxed);
+    });
+    EXPECT_EQ(after.load(), kItems);
+  }
+}
+
+// max_workers = 1 runs the whole range inline, in index order, on the
+// caller, even while other callers keep every worker busy.
+TEST(ThreadPoolStress, MaxWorkersOneRunsInlineUnderContention) {
+  for (const std::size_t pool_size : stress_pool_sizes()) {
+    thread_pool pool(pool_size);
+    std::atomic<bool> stop{false};
+    std::thread busy([&pool, &stop] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        pool.parallel_for(64, [](std::size_t i) {
+          volatile std::size_t sink = i;
+          (void)sink;
+        });
+      }
+    });
+    const auto caller = std::this_thread::get_id();
+    for (int repeat = 0; repeat < 50; ++repeat) {
+      std::vector<std::size_t> order;
+      bool off_caller = false;
+      pool.parallel_for(
+          40,
+          [&](std::size_t i) {
+            if (std::this_thread::get_id() != caller) off_caller = true;
+            order.push_back(i);
+          },
+          /*max_workers=*/1);
+      ASSERT_FALSE(off_caller);
+      ASSERT_EQ(order.size(), 40u);
+      ASSERT_TRUE(std::is_sorted(order.begin(), order.end()));
+    }
+    stop.store(true);
+    busy.join();
   }
 }
 
@@ -397,54 +565,61 @@ TEST(MarketStress, MailboxChurnUnderShardFanOut) {
 // Whole marketplace horizons raced across pool sizes: every run must
 // produce the same winner/payment stream the serial shard composition
 // does. Gives TSan the real shard fan-out (sessions, mailbox, spillover)
-// instead of a synthetic loop.
+// instead of a synthetic loop: the 2800-demander regions put each round
+// past the marketplace's fan-out grain (16384 demanders), below which
+// every thread count runs the shards inline.
 TEST(MarketStress, MarketplaceHorizonDeterministicAcrossPools) {
-  auction::online_config stage;
-  stage.stage.sellers = 5;
-  stage.stage.demanders = 3;
-  stage.rounds = 3;
-  auction::regional_config regional;
-  regional.regions = 6;
-  regional.demand_scale = 1.3;
-  rng gen(0xc0de);
-  const auto input =
-      auction::random_regional_online_instance(stage, regional, gen);
+  for (const std::size_t demanders : {std::size_t{3}, std::size_t{2800}}) {
+    auction::online_config stage;
+    stage.stage.sellers = 5;
+    stage.stage.demanders = demanders;
+    stage.rounds = 3;
+    auction::regional_config regional;
+    regional.regions = 6;
+    regional.demand_scale = 1.3;
+    rng gen(0xc0de);
+    const auto input =
+        auction::random_regional_online_instance(stage, regional, gen);
 
-  const auto run = [&](std::size_t threads) {
-    market::marketplace_options options;
-    options.threads = threads;
-    options.shard.session.stage.payment_threads = 1;
-    std::vector<std::vector<auction::seller_profile>> sellers;
-    for (const auto& region : input.regions) sellers.push_back(region.sellers);
-    edge::topology topo =
-        edge::topology::ring(static_cast<std::uint32_t>(regional.regions));
-    market::marketplace mkt(topo, std::move(sellers), options);
-    std::vector<std::pair<std::size_t, double>> stream;
-    market::marketplace_round result;
-    auction::regional_instance round;
-    round.regions.resize(regional.regions);
-    for (std::size_t t = 0; t < stage.rounds; ++t) {
-      for (std::size_t r = 0; r < regional.regions; ++r) {
-        round.regions[r] = input.regions[r].rounds[t];
+    const auto run = [&](std::size_t threads) {
+      market::marketplace_options options;
+      options.threads = threads;
+      options.shard.session.stage.payment_threads = 1;
+      std::vector<std::vector<auction::seller_profile>> sellers;
+      for (const auto& region : input.regions) {
+        sellers.push_back(region.sellers);
       }
-      mkt.run_round(round, result);
-      for (const auto& shard : result.shards) {
-        for (std::size_t w = 0; w < shard.outcome.winner_bids.size(); ++w) {
-          stream.emplace_back(shard.outcome.winner_bids[w],
-                              shard.outcome.payments[w]);
+      edge::topology topo =
+          edge::topology::ring(static_cast<std::uint32_t>(regional.regions));
+      market::marketplace mkt(topo, std::move(sellers), options);
+      std::vector<std::pair<std::size_t, double>> stream;
+      market::marketplace_round result;
+      auction::regional_instance round;
+      round.regions.resize(regional.regions);
+      for (std::size_t t = 0; t < stage.rounds; ++t) {
+        for (std::size_t r = 0; r < regional.regions; ++r) {
+          round.regions[r] = input.regions[r].rounds[t];
+        }
+        mkt.run_round(round, result);
+        for (const auto& shard : result.shards) {
+          for (std::size_t w = 0; w < shard.outcome.winner_bids.size(); ++w) {
+            stream.emplace_back(shard.outcome.winner_bids[w],
+                                shard.outcome.payments[w]);
+          }
+        }
+        for (const auto& award : result.spillover.awards) {
+          stream.emplace_back(award.bid_index, award.payment);
         }
       }
-      for (const auto& award : result.spillover.awards) {
-        stream.emplace_back(award.bid_index, award.payment);
-      }
-    }
-    return stream;
-  };
+      return stream;
+    };
 
-  const auto reference = run(1);
-  ASSERT_FALSE(reference.empty());
-  for (const std::size_t pool_size : stress_pool_sizes()) {
-    EXPECT_EQ(run(pool_size), reference) << "pool size " << pool_size;
+    const auto reference = run(1);
+    ASSERT_FALSE(reference.empty());
+    for (const std::size_t pool_size : stress_pool_sizes()) {
+      EXPECT_EQ(run(pool_size), reference)
+          << "pool size " << pool_size << ", " << demanders << " demanders";
+    }
   }
 }
 

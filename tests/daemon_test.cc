@@ -17,8 +17,10 @@
 #include "auction/instance_gen.h"
 #include "common/check.h"
 #include "common/checkpoint.h"
+#include "des/simulator.h"
 #include "harness/internal.h"
 #include "simrun/daemon.h"
+#include "simrun/delivery.h"
 
 namespace ecrs::simrun {
 namespace {
@@ -33,21 +35,31 @@ daemon_config make_config(double round_duration = 50.0) {
   return cfg;
 }
 
+// Market and load sizes of a test setup (the defaults keep rounds tiny).
+struct setup_size {
+  std::uint32_t regions = kRegions;
+  std::uint32_t sellers = kSellers;
+  std::uint32_t demanders = kDemanders;
+  std::uint32_t users = 6;
+};
+
 daemon_setup make_setup(std::uint64_t seed,
-                        daemon_config dcfg = make_config()) {
+                        daemon_config dcfg = make_config(),
+                        setup_size size = {}) {
   auction::online_config stage;
-  stage.stage = harness::internal::paper_stage(kSellers, kDemanders, 2);
+  stage.stage =
+      harness::internal::paper_stage(size.sellers, size.demanders, 2);
   stage.rounds = 1;  // only the standing (round 1) bid sets are used
   auction::regional_config regional;
-  regional.regions = kRegions;
+  regional.regions = size.regions;
   rng gen = harness::internal::point_rng(seed, 13, 0, 0);
   auction::regional_online_instance input =
       auction::random_regional_online_instance(stage, regional, gen);
 
   daemon_setup s;
-  s.topology = edge::topology::ring(kRegions);
-  s.standing.regions.reserve(kRegions);
-  s.sellers.reserve(kRegions);
+  s.topology = edge::topology::ring(size.regions);
+  s.standing.regions.reserve(size.regions);
+  s.sellers.reserve(size.regions);
   for (auto& region : input.regions) {
     s.standing.regions.push_back(region.rounds.front());
     for (auction::seller_profile& p : region.sellers) {
@@ -60,16 +72,16 @@ daemon_setup make_setup(std::uint64_t seed,
     }
     s.sellers.push_back(std::move(region.sellers));
   }
-  s.workload.users = 6;
-  s.workload.microservices = kRegions * kDemanders;
-  s.workload.regions = kRegions;
+  s.workload.users = size.users;
+  s.workload.microservices = size.regions * size.demanders;
+  s.workload.regions = size.regions;
   s.workload.seed = seed;
-  s.cluster.clouds = kRegions;
+  s.cluster.clouds = size.regions;
   s.cluster.seed = seed ^ 0xc0ffeeULL;
   s.estimator = demand::make_default_config();
   s.estimator.round_duration = dcfg.round_duration;
-  s.ingest.regions = kRegions;
-  s.ingest.microservices = kRegions * kDemanders;
+  s.ingest.regions = size.regions;
+  s.ingest.microservices = size.regions * size.demanders;
   s.ingest.unit_demand = 4.0;
   s.ingest.max_requirement = stage.stage.requirement_hi;
   s.ingest.supply_margin = stage.stage.supply_margin;
@@ -184,6 +196,123 @@ TEST(Daemon, ByteIdenticalAcrossMarketplaceThreadCounts) {
     EXPECT_EQ(serial[r], parallel[r]) << "round " << r + 1;
   }
   EXPECT_EQ(save_bytes(a), save_bytes(b));
+}
+
+// A setup at perfbench steady_requests' sizes: 8 regions x 4 demanders x
+// 8 sellers and 6667 users at 7.5 requests per class, ~1e5 requests per
+// 10-minute round, with flash crowds tripling the rate in the first 2 of
+// every 10 rounds (~3e5 requests). Every batch is large enough for the
+// generator's passes and the per-service delivery to fan out.
+daemon_setup fan_out_setup(std::size_t threads) {
+  daemon_config cfg = make_config(600.0);
+  cfg.resources_per_unit = 4.0;  // one unit serves unit_demand per second
+  cfg.scenario.flash_every = 10;
+  cfg.scenario.flash_duration = 2;
+  cfg.scenario.flash_factor = 3.0;
+  daemon_setup s = make_setup(7, cfg, {8, 8, 4, 6667});
+  s.workload.sensitive_mean = 7.5;
+  s.workload.tolerant_mean = 7.5;
+  s.market.threads = threads;
+  s.ingest.threads = threads;
+  return s;
+}
+
+// Every round's marketplace outcome, estimates and grants over a 24-round
+// horizon, plus the final checkpoint bytes, folded into one FNV-1a digest.
+// The constant was recorded before request generation and delivery moved
+// onto the thread pool, so it pins the whole closed loop at a size where
+// both fan out, at every marketplace thread cap.
+TEST(Daemon, GoldenDigestAtFanOutSize) {
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    daemon d(fan_out_setup(threads));
+    std::vector<std::uint64_t> words;
+    d.set_round_callback([&words, &d](std::uint64_t,
+                                      const market::marketplace_round& out,
+                                      std::span<const double> estimates) {
+      digest_round(out, estimates, d.last_grants(), words);
+    });
+    d.run_rounds(24);
+    EXPECT_GT(d.requests_delivered(), 3000000u);
+    ecrs::checkpoint_writer w;
+    for (const std::uint64_t word : words) w.u64(word);
+    d.save(w);
+    EXPECT_EQ(ecrs::fnv1a64(w.payload()), 0xf122c92036566d37ULL)
+        << "market threads " << threads;
+  }
+}
+
+std::vector<std::uint8_t> cluster_bytes(const edge::cluster& c) {
+  ecrs::checkpoint_writer w;
+  c.save(w);
+  return {w.payload().begin(), w.payload().end()};
+}
+
+// batch_delivery against the single-stream DES delivery it replaced (the
+// reference path perfbench's replica keeps): at the daemon's size, with a
+// 3x flash round, both clusters hold the same bytes — queues, partial
+// service and every accumulator — after every round.
+TEST(Delivery, FanOutMatchesDesStreamBitForBit) {
+  workload::generator_config cfg;
+  cfg.users = 6667;
+  cfg.microservices = 32;
+  cfg.sensitive_mean = 7.5;
+  cfg.tolerant_mean = 7.5;
+  cfg.regions = 8;
+  cfg.seed = 11;
+  workload::generator gen(cfg);
+  std::vector<workload::qos_class> qos;
+  for (std::uint32_t m = 0; m < cfg.microservices; ++m) {
+    qos.push_back(gen.class_of(m));
+  }
+  edge::cluster_config ccfg;
+  ccfg.clouds = 8;
+  edge::cluster fanned(ccfg, qos);
+  edge::cluster streamed(ccfg, qos);
+  for (std::uint32_t m = 0; m < cfg.microservices; ++m) {
+    // Below the ~5.2 resource-seconds per second that arrive: queues grow.
+    fanned.service(m).set_allocation(4.0 + 0.1 * m);
+    streamed.service(m).set_allocation(4.0 + 0.1 * m);
+  }
+  simrun::batch_delivery delivery;
+  des::simulator sim;
+  std::vector<double> clocks(cfg.microservices, 0.0);
+  std::vector<des::sim_time> arrivals;
+  std::vector<workload::request> batch;
+  for (std::uint64_t round = 1; round <= 4; ++round) {
+    const double start = static_cast<double>(round - 1) * 600.0;
+    const double end = static_cast<double>(round) * 600.0;
+    gen.set_rate_scale(round == 2 ? 3.0 : 1.0);
+    gen.round_into(start, 600.0, batch);
+    ASSERT_GT(batch.size(), 90000u);
+
+    delivery.deliver_round(fanned, batch, start, end);
+
+    arrivals.resize(batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      arrivals[i] = batch[i].arrival_time;
+    }
+    sim.schedule_stream(arrivals, [&](std::size_t i) {
+      const workload::request& r = batch[i];
+      double& mark = clocks[r.microservice];
+      if (sim.now() > mark) {
+        streamed.service(r.microservice).advance(mark, sim.now() - mark);
+        mark = sim.now();
+      }
+      streamed.service(r.microservice).enqueue(r);
+    });
+    sim.run_until(end);
+    for (std::uint32_t m = 0; m < cfg.microservices; ++m) {
+      if (end > clocks[m]) {
+        streamed.service(m).advance(clocks[m], end - clocks[m]);
+        clocks[m] = end;
+      }
+    }
+    ASSERT_EQ(cluster_bytes(fanned), cluster_bytes(streamed))
+        << "round " << round;
+    (void)fanned.end_round(round, 600.0);
+    (void)streamed.end_round(round, 600.0);
+  }
+  EXPECT_GT(fanned.service(0).queue_length(), 0u);
 }
 
 TEST(Daemon, CheckpointResumeByteIdenticalAtEveryRoundBoundary) {

@@ -311,10 +311,11 @@ struct market_fixture {
   edge::topology topo = edge::topology::ring(1);
 };
 
-market_fixture spillover_market(std::size_t regions, std::size_t horizon) {
+market_fixture spillover_market(std::size_t regions, std::size_t horizon,
+                                std::size_t demanders = 3) {
   auction::online_config stage;
   stage.stage.sellers = 6;
-  stage.stage.demanders = 3;
+  stage.stage.demanders = demanders;
   stage.rounds = horizon;
   auction::regional_config regional;
   regional.regions = regions;
@@ -361,6 +362,21 @@ TEST(MarketplaceDeterminism, ByteIdenticalAcrossThreadCounts) {
       std::max<std::size_t>(1, std::thread::hardware_concurrency());
   if (hw != 1 && hw != 2) counts.push_back(hw);
   for (const std::size_t threads : counts) {
+    EXPECT_EQ(run_digest(fx, threads), reference)
+        << "digest diverged at threads=" << threads;
+  }
+}
+
+// Rounds below the fan-out grain (16384 demanders) run inline at any
+// thread count, so the test above never reaches the pool. This market is
+// just past the grain: the shard fan-out and the spillover assembly run on
+// the pool and must still match the serial digest.
+TEST(MarketplaceDeterminism, ByteIdenticalAcrossThreadCountsPastTheGrain) {
+  const market_fixture fx =
+      spillover_market(/*regions=*/4, /*horizon=*/2, /*demanders=*/4100);
+  const auto reference = run_digest(fx, 1);
+  EXPECT_FALSE(reference.empty());
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{0}}) {
     EXPECT_EQ(run_digest(fx, threads), reference)
         << "digest diverged at threads=" << threads;
   }

@@ -70,6 +70,8 @@ NONDET_RE = re.compile(
     r"|(?<![\w.>:])(?:rand|srand|time)\s*\("
     r"|\brandom_device\b")
 CALL_RE = re.compile(r"([A-Za-z_]\w*)\s*\(")
+# Text before a call name that makes it a std:: call (`std::sort(`).
+STD_QUALIFIED_RE = re.compile(r"\bstd\s*::\s*$")
 FLOAT_KEY_RE = re.compile(
     r"\b(?:unordered_)?(?:map|multimap|set|multiset)\s*<\s*"
     r"(?:const\s+)?(?:float|double|long\s+double)\b")
@@ -488,6 +490,8 @@ def _scan_body(fn: Function, body: str, start_line: int) -> None:
             if callee in NOT_A_CALL:
                 continue
             before = text[:m.start()].rstrip()
+            if STD_QUALIFIED_RE.search(before):
+                continue  # std:: calls are opaque (see the module docstring)
             member = before.endswith(".") or before.endswith("->")
             fn.calls.append(CallSite(callee, fn.file, num, member))
 
