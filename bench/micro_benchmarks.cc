@@ -286,10 +286,9 @@ BENCHMARK(BM_ThreadPoolForkJoin)->UseRealTime();
 
 // One round's delivery at the daemon's size (the BM_WorkloadRoundInto
 // batch: ~1e5 requests over 32 services in 8 clouds, each service able to
-// serve its share). Arg 0: the single-stream DES delivery perfbench's
-// replica keeps as the reference path (des::simulator::schedule_stream,
-// lazy per-service advance). Arg 1: simrun::batch_delivery, the daemon's
-// per-service fan-out. Generating and closing the round are untimed.
+// serve its share). Arg 0: simrun::des_delivery, the single-stream DES
+// delivery perfbench's replica keeps as the reference path. Arg 1:
+// simrun::batch_delivery, the daemon's per-service fan-out. Generating and closing the round are untimed.
 void BM_RoundDelivery(benchmark::State& state) {
   ecrs::workload::generator_config cfg;
   cfg.users = 6667;
@@ -309,11 +308,9 @@ void BM_RoundDelivery(benchmark::State& state) {
     cluster.service(m).set_allocation(6.0);  // ~5.2 arrives per second
   }
   const bool fan_out = state.range(0) == 1;
-  ecrs::des::simulator sim;
+  ecrs::simrun::des_delivery reference;
   ecrs::simrun::batch_delivery delivery;
   std::vector<ecrs::workload::request> batch;
-  std::vector<ecrs::des::sim_time> arrivals;
-  std::vector<double> clocks(cfg.microservices, 0.0);
   double clock = 0.0;
   std::uint64_t round = 0;
   std::size_t delivered = 0;
@@ -325,27 +322,7 @@ void BM_RoundDelivery(benchmark::State& state) {
     if (fan_out) {
       delivery.deliver_round(cluster, batch, clock, end);
     } else {
-      arrivals.resize(batch.size());
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        arrivals[i] = batch[i].arrival_time;
-      }
-      sim.schedule_stream(arrivals, [&](std::size_t i) {
-        const ecrs::workload::request& r = batch[i];
-        ecrs::edge::microservice& svc = cluster.service(r.microservice);
-        double& mark = clocks[r.microservice];
-        if (sim.now() > mark) {
-          svc.advance(mark, sim.now() - mark);
-          mark = sim.now();
-        }
-        svc.enqueue(r);
-      });
-      sim.run_until(end);
-      for (std::uint32_t m = 0; m < cfg.microservices; ++m) {
-        if (end > clocks[m]) {
-          cluster.service(m).advance(clocks[m], end - clocks[m]);
-          clocks[m] = end;
-        }
-      }
+      reference.deliver_round(cluster, batch, clock, end);
     }
     state.PauseTiming();
     delivered += batch.size();

@@ -16,9 +16,8 @@
 //      (des::simulator::schedule_stream, kept as the reference path in
 //      perfbench's replica) would give it, so results do not depend on
 //      the thread count. All fan-out goes through thread_pool::shared(),
-//      and each pass falls back to running inline while timing shows the
-//      fan-out does not pay (common/fan_out_tuner.h); the daemon creates
-//      no thread;
+//      and batches below each pass's size grain run inline; the daemon
+//      creates no thread;
 //   3. observe: close each microservice's round directly into the demand
 //      estimator's streaming path (demand::estimator::observe — no
 //      round_stats vector is materialized) and finalize the round's

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/stopwatch.h"
 #include "common/thread_pool.h"
 
 namespace ecrs::simrun {
@@ -35,24 +34,20 @@ void batch_delivery::deliver_round(edge::cluster& cluster,
       batch.size() < kMinBatch
           ? 1
           : std::min<std::size_t>(services, thread_pool::shared().size());
-  const bool wide = width > 1 && tuner_.fan_out();
-  const std::size_t ranges = wide ? width : 1;
-  const stopwatch watch;
-  if (clocks_.size() < services + ranges * kPad) {
-    clocks_.resize(services + ranges * kPad);
+  if (clocks_.size() < services + width * kPad) {
+    clocks_.resize(services + width * kPad);
   }
   const auto deliver_share = [&](std::size_t k) {
-    const auto lo = static_cast<std::uint32_t>(k * services / ranges);
-    const auto hi = static_cast<std::uint32_t>((k + 1) * services / ranges);
+    const auto lo = static_cast<std::uint32_t>(k * services / width);
+    const auto hi = static_cast<std::uint32_t>((k + 1) * services / width);
     deliver_range(cluster, batch, lo, hi, clocks_.data() + lo + k * kPad,
                   clock, end);
   };
-  if (ranges == 1) {
+  if (width == 1) {
     deliver_share(0);
   } else {
-    thread_pool::shared().parallel_for(ranges, deliver_share);
+    thread_pool::shared().parallel_for(width, deliver_share);
   }
-  if (width > 1) tuner_.record(wide, watch.elapsed_seconds(), batch.size());
 }
 
 void batch_delivery::deliver_range(edge::cluster& cluster,
@@ -93,6 +88,32 @@ void batch_delivery::deliver_range(edge::cluster& cluster,
   ECRS_CHECK_MSG(!unknown, "request for an unknown microservice");
   for (std::uint32_t m = lo; m < hi; ++m) {
     const double mark = clocks[m - lo];
+    if (end > mark) cluster.service(m).advance(mark, end - mark);
+  }
+}
+
+void des_delivery::deliver_round(edge::cluster& cluster,
+                                 std::span<const workload::request> batch,
+                                 double clock, double end) {
+  ECRS_CHECK_MSG(end >= clock, "round end before the service clocks");
+  clocks_.assign(cluster.microservice_count(), clock);
+  arrivals_.resize(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    arrivals_[i] = batch[i].arrival_time;
+  }
+  sim_.schedule_stream(arrivals_, [&](std::size_t i) {
+    const workload::request& r = batch[i];
+    edge::microservice& svc = cluster.service(r.microservice);
+    double& mark = clocks_[r.microservice];
+    if (sim_.now() > mark) {
+      svc.advance(mark, sim_.now() - mark);
+      mark = sim_.now();
+    }
+    svc.enqueue(r);
+  });
+  sim_.run_until(end);
+  for (std::uint32_t m = 0; m < clocks_.size(); ++m) {
+    const double mark = clocks_[m];
     if (end > mark) cluster.service(m).advance(mark, end - mark);
   }
 }

@@ -13,9 +13,8 @@
 //
 // Each range keeps its services' clocks in its own slice of one scratch
 // array, a cache line apart from the next slice: workers never write a
-// shared line, and the slices reuse their storage across rounds. Whether a
-// round fans out at all is timed per call (common/fan_out_tuner.h): one
-// range on the calling thread does the same work without the scans.
+// shared line, and the slices reuse their storage across rounds. A batch
+// too small to pay for the extra scans is delivered by one range, inline.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +22,7 @@
 #include <vector>
 
 #include "common/annotations.h"
-#include "common/fan_out_tuner.h"
+#include "des/simulator.h"
 #include "edge/cluster.h"
 #include "workload/request.h"
 
@@ -48,7 +47,24 @@ class batch_delivery {
                                      double end);
 
   std::vector<double> clocks_;
-  fan_out_tuner tuner_;  // the ranges in parallel, or one range inline
+};
+
+// The single-stream reference batch_delivery is checked against: one
+// des::simulator stream over the whole batch, each arrival catching its
+// service up from that service's own clock before it is enqueued (the
+// delivery perfbench's replica times as des.deliver_ms). Same contract as
+// batch_delivery::deliver_round; every call continues the simulator's
+// timeline, so `clock` must be at least the previous call's `end`.
+class des_delivery {
+ public:
+  void deliver_round(edge::cluster& cluster,
+                     std::span<const workload::request> batch, double clock,
+                     double end);
+
+ private:
+  des::simulator sim_;
+  std::vector<des::sim_time> arrivals_;
+  std::vector<double> clocks_;
 };
 
 }  // namespace ecrs::simrun

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/stopwatch.h"
 #include "common/thread_pool.h"
 
 namespace ecrs::workload {
@@ -75,10 +74,7 @@ void arrival_sorter::sort(std::vector<request>& batch, double window_start,
   grow_to(cursors_, buckets + 1);
   // Keys and bucket counts, per contiguous slice of the batch (one slice
   // per run, each counting into its own scratch).
-  const std::size_t width = fan_out_width(n);
-  const bool wide = width > 1 && tuner_.fan_out();
-  const std::size_t runs = wide ? width : 1;
-  const stopwatch watch;
+  const std::size_t runs = fan_out_width(n);
   if (scratch_.size() < runs) scratch_.resize(runs);
   fan_out(runs, [&](std::size_t run) {
     std::vector<std::uint32_t>& counts = scratch_[run].counts;
@@ -143,7 +139,6 @@ void arrival_sorter::sort(std::vector<request>& batch, double window_start,
       lo = hi;
     }
   });
-  if (width > 1) tuner_.record(wide, watch.elapsed_seconds(), n);
 }
 
 void arrival_sorter::sort_bucket(request* out, std::size_t m,
@@ -299,9 +294,7 @@ void generator::round_into(double round_start, double duration,
   // request, so the pieces may run in any order on any thread.
   const std::size_t n = batch.size();
   const std::size_t width = fan_out_width(n);
-  const bool wide = width > 1 && finish_tuner_.fan_out();
-  const std::size_t pieces = wide ? 4 * width : 1;
-  const stopwatch watch;
+  const std::size_t pieces = width > 1 ? 4 * width : 1;
   fan_out(pieces, [&](std::size_t piece) {
     const std::size_t hi = (piece + 1) * n / pieces;
     for (std::size_t i = piece * n / pieces; i < hi; ++i) {
@@ -321,7 +314,6 @@ void generator::round_into(double round_start, double duration,
           std::bit_cast<std::uint64_t>(r.service_demand));
     }
   });
-  if (width > 1) finish_tuner_.record(wide, watch.elapsed_seconds(), n);
   sorter_.sort(batch, round_start, duration);
 }
 

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/checkpoint.h"
-#include "common/fan_out_tuner.h"
 #include "common/rng.h"
 #include "workload/request.h"
 #include "workload/round_source.h"
@@ -46,9 +45,8 @@ struct generator_config {
 // American-flag cycle permutation). Level 2 counting-scatters each coarse
 // bucket by a fine time key into a scratch buffer and insertion-sorts it
 // back into place. For large batches the key pass and level 2 run in
-// parallel on thread_pool::shared() (or inline, when timing shows the
-// fan-out does not pay: common/fan_out_tuner.h). Bucket keys are monotone
-// in arrival time, so the result is correct for any finite times. Speed
+// parallel on thread_pool::shared(). Bucket keys are monotone in arrival
+// time, so the result is correct for any finite times. Speed
 // needs the times spread over the window: requests that share a fine
 // bucket (equal timestamps, or times clamped into an end bucket from
 // outside the window) are ordered by the insertion sort alone, which is
@@ -84,7 +82,6 @@ class arrival_sorter {
   std::vector<std::uint32_t> ends_;     // one past each coarse bucket
   std::vector<std::uint32_t> cursors_;  // coarse bucket heads
   std::vector<run_scratch> scratch_;    // one per run
-  fan_out_tuner tuner_;                 // the parallel passes, or inline
 };
 
 // Per-round batch: the requests that arrived during one auction round, in
@@ -145,7 +142,6 @@ class generator final : public round_source {
   // one uniform draw instead of rejection sampling the full id space.
   std::vector<std::uint32_t> sensitive_ids_;
   std::vector<std::uint32_t> tolerant_ids_;
-  fan_out_tuner finish_tuner_;  // pass 2 in parallel, or inline
   arrival_sorter sorter_;
 };
 

@@ -19,7 +19,6 @@
 #include "common/statistics.h"
 #include "common/stopwatch.h"
 #include "common/table.h"
-#include "common/fan_out_tuner.h"
 #include "common/thread_pool.h"
 
 namespace ecrs {
@@ -569,37 +568,6 @@ TEST(ThreadPool, MaxWorkersOneRunsOnCaller) {
 TEST(ThreadPool, SharedPoolIsSingleton) {
   EXPECT_EQ(&thread_pool::shared(), &thread_pool::shared());
   EXPECT_GE(thread_pool::shared().size(), 1u);
-}
-
-// The tuner measures both choices first, then runs the cheaper one, retries
-// the other every 32nd call, and follows the host when the costs cross.
-TEST(FanOutTuner, RunsTheCheaperChoiceAndProbesTheOther) {
-  fan_out_tuner tuner;
-  ASSERT_TRUE(tuner.fan_out());  // call 1: fanned out, measured first
-  tuner.record(true, 1.0, 1000);
-  ASSERT_FALSE(tuner.fan_out());  // call 2: inline, measured next
-  tuner.record(false, 3.0, 1000);
-  // Fanning out is 3x cheaper: it runs, except on every 32nd call.
-  for (std::uint32_t call = 3; call <= 64; ++call) {
-    const bool wide = tuner.fan_out();
-    EXPECT_EQ(wide, call % 32 != 0) << "call " << call;
-    tuner.record(wide, wide ? 1.0 : 3.0, 1000);
-  }
-  // The host gets busy: fanned-out calls now cost 5x the inline ones. The
-  // moving average crosses within a few calls, and then inline runs.
-  int calls_to_switch = 0;
-  while (tuner.fan_out()) {
-    tuner.record(true, 5.0, 1000);
-    ASSERT_LT(++calls_to_switch, 10);
-  }
-  tuner.record(false, 1.0, 1000);
-  int fanned_out = 0;
-  for (int call = 0; call < 32; ++call) {
-    const bool wide = tuner.fan_out();
-    fanned_out += wide ? 1 : 0;
-    tuner.record(wide, wide ? 5.0 : 1.0, 1000);
-  }
-  EXPECT_EQ(fanned_out, 1);  // the probe: one call in every 32
 }
 
 TEST(ParallelForFreeFunction, NullPoolRunsInline) {
