@@ -271,6 +271,34 @@ void BM_WorkloadRoundInto(benchmark::State& state) {
 }
 BENCHMARK(BM_WorkloadRoundInto)->Arg(1)->Arg(3)->Unit(benchmark::kMillisecond);
 
+// The same rounds generated lane-major (round_lanes), as simrun::daemon
+// generates them: the count walk, the parallel replay and the per-lane
+// sort, with no global sort.
+void BM_WorkloadRoundLanes(benchmark::State& state) {
+  ecrs::workload::generator_config cfg;
+  cfg.users = 6667;
+  cfg.microservices = 32;
+  cfg.sensitive_mean = 7.5;
+  cfg.tolerant_mean = 7.5;
+  cfg.regions = 8;
+  ecrs::workload::generator gen(cfg);
+  gen.set_rate_scale(static_cast<double>(state.range(0)));
+  ecrs::workload::request_lanes lanes;
+  double now = 0.0;
+  for (auto _ : state) {
+    gen.round_lanes(now, 600.0, lanes);
+    benchmark::DoNotOptimize(lanes.requests.data());
+    benchmark::ClobberMemory();
+    now += 600.0;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(lanes.requests.size()));
+}
+BENCHMARK(BM_WorkloadRoundLanes)
+    ->Arg(1)
+    ->Arg(3)
+    ->Unit(benchmark::kMillisecond);
+
 // Fork-join latency of the shared pool: an empty fan-out over the pool's
 // width, so the caller and width - 1 woken workers each claim an index.
 void BM_ThreadPoolForkJoin(benchmark::State& state) {
@@ -285,10 +313,12 @@ void BM_ThreadPoolForkJoin(benchmark::State& state) {
 BENCHMARK(BM_ThreadPoolForkJoin)->UseRealTime();
 
 // One round's delivery at the daemon's size (the BM_WorkloadRoundInto
-// batch: ~1e5 requests over 32 services in 8 clouds, each service able to
-// serve its share). Arg 0: simrun::des_delivery, the single-stream DES
-// delivery perfbench's replica keeps as the reference path. Arg 1:
-// simrun::batch_delivery, the daemon's per-service fan-out. Generating and closing the round are untimed.
+// round: ~1e5 requests over 32 services in 8 clouds, each service able to
+// serve its share). Arg 0: simrun::des_delivery of the time-sorted batch,
+// the single-stream DES delivery perfbench's replica keeps as the
+// reference path. Arg 1: simrun::batch_delivery of the round's lanes, the
+// daemon's per-service fan-out. Generating and closing the round are
+// untimed.
 void BM_RoundDelivery(benchmark::State& state) {
   ecrs::workload::generator_config cfg;
   cfg.users = 6667;
@@ -311,21 +341,26 @@ void BM_RoundDelivery(benchmark::State& state) {
   ecrs::simrun::des_delivery reference;
   ecrs::simrun::batch_delivery delivery;
   std::vector<ecrs::workload::request> batch;
+  ecrs::workload::request_lanes lanes;
   double clock = 0.0;
   std::uint64_t round = 0;
   std::size_t delivered = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    gen.round_into(clock, 600.0, batch);
+    if (fan_out) {
+      gen.round_lanes(clock, 600.0, lanes);
+    } else {
+      gen.round_into(clock, 600.0, batch);
+    }
     const double end = clock + 600.0;
     state.ResumeTiming();
     if (fan_out) {
-      delivery.deliver_round(cluster, batch, clock, end);
+      delivery.deliver_round(cluster, lanes, clock, end);
     } else {
       reference.deliver_round(cluster, batch, clock, end);
     }
     state.PauseTiming();
-    delivered += batch.size();
+    delivered += fan_out ? lanes.requests.size() : batch.size();
     benchmark::DoNotOptimize(cluster.end_round(++round, 600.0));
     clock = end;
     state.ResumeTiming();

@@ -1,6 +1,7 @@
 #include "edge/microservice.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/check.h"
 
@@ -20,10 +21,16 @@ microservice::microservice(std::uint32_t id, workload::qos_class qos)
     : id_(id), qos_(qos) {}
 
 double microservice::backlog_work() const {
-  if (queue_.empty()) return 0.0;
-  const queued& head = queue_.front();
-  const double total =
-      queued_demand_sum_ - (head.req.service_demand - head.remaining);
+  double consumed = 0.0;  // the head's served share of its demand
+  if (!queue_.empty()) {
+    const queued& head = queue_.front();
+    consumed = head.req.service_demand - head.remaining;
+  } else if (lane_head_ < lane_admitted_) {
+    consumed = lane_[lane_head_].service_demand - lane_head_remaining_;
+  } else {
+    return 0.0;
+  }
+  const double total = queued_demand_sum_ - consumed;
   return total > 0.0 ? total : 0.0;
 }
 
@@ -32,44 +39,94 @@ void microservice::set_allocation(double resources) {
   allocation_ = resources;
 }
 
-void microservice::enqueue(const workload::request& r) {
+inline void microservice::count_arrival(const workload::request& r) {
   ECRS_CHECK_MSG(r.microservice == id_,
                  "request for microservice " << r.microservice
                                              << " routed to " << id_);
   ECRS_CHECK_MSG(r.service_demand >= 0.0, "negative service demand");
-  queue_.push_back(queued{r, r.service_demand});
   queued_demand_sum_ += r.service_demand;
   ++round_received_;
   ++total_received_;
   round_arrived_work_ += r.service_demand;
 }
 
+void microservice::enqueue(const workload::request& r) {
+  ECRS_CHECK_MSG(!lane_open_, "enqueue while a lane is open");
+  count_arrival(r);
+  queue_.push_back(queued{r, r.service_demand});
+}
+
+void microservice::open_lane(std::span<const workload::request> lane) {
+  ECRS_CHECK_MSG(!lane_open_, "microservice " << id_ << " has a lane open");
+  ECRS_CHECK_MSG(lane.size() <= std::numeric_limits<std::uint32_t>::max(),
+                 "lane too long: " << lane.size());
+  lane_ = lane.data();
+  lane_size_ = static_cast<std::uint32_t>(lane.size());
+  lane_head_ = 0;
+  lane_admitted_ = 0;
+  lane_open_ = true;
+  lane_head_remaining_ = lane.empty() ? 0.0 : lane.front().service_demand;
+}
+
+void microservice::admit_next() {
+  ECRS_CHECK_MSG(lane_admitted_ < lane_size_, "lane has no entry to admit");
+  count_arrival(lane_[lane_admitted_++]);
+}
+
+void microservice::close_lane() {
+  ECRS_CHECK_MSG(lane_open_, "microservice " << id_ << " has no lane open");
+  ECRS_CHECK_MSG(lane_admitted_ == lane_size_,
+                 "closing a lane with unadmitted entries");
+  for (std::uint32_t i = lane_head_; i < lane_admitted_; ++i) {
+    queue_.push_back(queued{
+        lane_[i], i == lane_head_ ? lane_head_remaining_
+                                  : lane_[i].service_demand});
+  }
+  lane_ = nullptr;
+  lane_size_ = lane_head_ = lane_admitted_ = 0;
+  lane_open_ = false;
+  lane_head_remaining_ = 0.0;
+}
+
 void microservice::advance(double now, double duration) {
   ECRS_CHECK_MSG(duration >= 0.0, "negative duration");
   round_elapsed_ += duration;
-  if (allocation_ <= 0.0 || queue_.empty()) return;
+  if (allocation_ <= 0.0 || idle()) return;
 
   double budget = allocation_ * duration;  // resource-seconds available
   double clock = now;
-  while (budget > 0.0 && !queue_.empty()) {
-    queued& head = queue_.front();
-    const double spend = std::min(budget, head.remaining);
-    head.remaining -= spend;
+  // The one serve step of both queue parts: spends the budget on one
+  // queued request, advancing the clock; true when the request completes.
+  // A lambda, so that it inlines and budget and clock stay in registers.
+  const auto serve = [&](const workload::request& r, double& remaining) {
+    const double spend = std::min(budget, remaining);
+    remaining -= spend;
     budget -= spend;
     clock += spend / allocation_;
     round_served_work_ += spend;
     round_busy_time_ += spend / allocation_;
-    if (head.remaining <= 1e-12) {
-      ++round_served_;
-      ++total_served_;
-      round_wait_sum_ += std::max(0.0, clock - head.req.arrival_time);
-      queued_demand_sum_ -= head.req.service_demand;
-      queue_.pop_front();
+    if (remaining > 1e-12) return false;
+    ++round_served_;
+    ++total_served_;
+    round_wait_sum_ += std::max(0.0, clock - r.arrival_time);
+    queued_demand_sum_ -= r.service_demand;
+    return true;
+  };
+  // A request left unfinished has used up the budget, so each loop stops
+  // at the first one.
+  while (budget > 0.0 && !queue_.empty()) {
+    queued& head = queue_.front();
+    if (serve(head.req, head.remaining)) queue_.pop_front();
+  }
+  while (budget > 0.0 && lane_head_ < lane_admitted_) {
+    if (serve(lane_[lane_head_], lane_head_remaining_) &&
+        ++lane_head_ < lane_size_) {
+      lane_head_remaining_ = lane_[lane_head_].service_demand;
     }
   }
   // Pin the incremental sum back to exact zero whenever the queue drains so
   // rounding residue cannot accumulate across rounds.
-  if (queue_.empty()) queued_demand_sum_ = 0.0;
+  if (idle()) queued_demand_sum_ = 0.0;
 }
 
 round_stats microservice::end_round(std::uint64_t round, double round_duration,
@@ -104,6 +161,8 @@ round_stats microservice::end_round(std::uint64_t round, double round_duration,
 }
 
 void microservice::save(ecrs::checkpoint_writer& w) const {
+  ECRS_CHECK_MSG(!lane_open_, "save() while microservice " << id_
+                                                          << " has a lane open");
   w.u32(id_);
   w.u8(static_cast<std::uint8_t>(qos_));
   w.f64(allocation_);
@@ -134,6 +193,7 @@ void microservice::save(ecrs::checkpoint_writer& w) const {
 void microservice::load(ecrs::checkpoint_reader& r) {
   const std::uint32_t id = r.u32();
   const auto qos = static_cast<workload::qos_class>(r.u8());
+  ECRS_CHECK_MSG(!lane_open_, "load() while a lane is open");
   ECRS_CHECK_MSG(id == id_ && qos == qos_,
                  "checkpoint holds microservice " << id
                                                   << ", restoring into "

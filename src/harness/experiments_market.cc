@@ -132,14 +132,18 @@ table marketplace_rounds(const marketplace_config& cfg) {
     for (const market::region_spill& spill : result.spillover.regions) {
       granted += spill.granted;
     }
-    std::vector<table::cell> row = {
-        static_cast<long long>(result.round), result.social_cost,
-        result.total_payment,
-        static_cast<long long>(result.spillover.regions.size()),
-        static_cast<long long>(result.spillover.awards.size()),
-        static_cast<long long>(granted),
-        static_cast<long long>(result.unmet_units),
-        std::string(result.feasible ? "yes" : "no")};
+    // One cell at a time: GCC 12 warns (-Wmaybe-uninitialized) on the
+    // initializer-list copy of a string variant cell.
+    std::vector<table::cell> row;
+    row.reserve(10);
+    row.emplace_back(static_cast<long long>(result.round));
+    row.emplace_back(result.social_cost);
+    row.emplace_back(result.total_payment);
+    row.emplace_back(static_cast<long long>(result.spillover.regions.size()));
+    row.emplace_back(static_cast<long long>(result.spillover.awards.size()));
+    row.emplace_back(static_cast<long long>(granted));
+    row.emplace_back(static_cast<long long>(result.unmet_units));
+    row.emplace_back(std::string(result.feasible ? "yes" : "no"));
     if (cfg.perf_columns) {
       row.push_back(static_cast<long long>(allocs_after - allocs_before));
       row.push_back(mkt.last_timing().spill_assembly_ms);

@@ -120,7 +120,8 @@ void round_ingestor::quantize_region(std::uint32_t region) {
 
 const auction::regional_instance& round_ingestor::finalize() {
   const std::uint32_t regions = config_.regions;
-  if (config_.threads == 1 || regions == 1) {
+  if (config_.threads == 1 || regions == 1 ||
+      config_.microservices < kParallelDemanders) {
     for (std::uint32_t r = 0; r < regions; ++r) quantize_region(r);
   } else {
     thread_pool::shared().parallel_for(

@@ -29,6 +29,7 @@
 // state allocates nothing.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -45,6 +46,18 @@ namespace ecrs::market {
 // Supply cap sentinel: no clamp (supply_margin == 0).
 inline constexpr auction::units kNoSupplyCap =
     std::numeric_limits<auction::units>::max();
+
+// Fewest demanders in a round for which the market's per-region stages
+// (round_ingestor::finalize, marketplace::run_round's shard fan-out and
+// spillover assembly) go to the pool; smaller rounds run inline, where the
+// fork-join would cost more than the work it spreads. Measured on 4 cores
+// with 8 regions (bench/shard_scaling, 8 sellers per region): the parallel
+// horizon was still slower than serial at 8192 demanders per round (0.55
+// vs 0.36 ms) and faster from 32768 (0.92 vs 1.55 ms). Below the grain,
+// with the quantize pass still fanned out, `shard_scaling --regions=8
+// --demanders=4 --rounds=50 --repeats=20` timed the parallel streamed
+// horizon at 20-32 µs/round against 5-9 µs serial.
+inline constexpr std::size_t kParallelDemanders = 16384;
 
 struct ingest_config {
   std::uint32_t regions = 1;
@@ -66,6 +79,7 @@ struct ingest_config {
   double demand_scale = 1.0;
   // Worker threads for the quantize pass: 1 = serial, 0 = shared pool at
   // hardware width, k = at most k workers. Identical bytes at any value.
+  // Rounds under kParallelDemanders quantize inline at any value.
   std::size_t threads = 1;
 };
 
@@ -122,9 +136,10 @@ class round_ingestor {
   ECRS_HOT void add_demands(std::span<const double> by_microservice);
 
   // Close the round: quantize every accumulator into its region's
-  // requirement vector (parallel across regions per config.threads,
-  // disjoint writes — byte-identical at any thread count), reset the
-  // accumulators, and return the round's per-region instances.
+  // requirement vector (parallel across regions per config.threads from
+  // kParallelDemanders up, disjoint writes — byte-identical at any thread
+  // count), reset the accumulators, and return the round's per-region
+  // instances.
   const auction::regional_instance& finalize();
 
   // accumulate() + finalize() for the common one-batch-per-round loop.

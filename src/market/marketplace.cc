@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "common/thread_pool.h"
+#include "market/ingest.h"
 
 namespace ecrs::market {
 namespace {
@@ -15,14 +16,6 @@ double ms_since(std::chrono::steady_clock::time_point start) {
              std::chrono::steady_clock::now() - start)
       .count();
 }
-
-// Fewest demanders in a round for which the shard fan-out and the
-// spillover assembly go to the pool. Measured on 4 cores with 8 regions
-// (bench/shard_scaling, 8 sellers per region): the parallel horizon was
-// still slower than serial at 8192 demanders per round (0.55 vs 0.36 ms)
-// and faster from 32768 (0.92 vs 1.55 ms). Smaller rounds run inline,
-// where the fork-join would cost more than the work it spreads.
-constexpr std::size_t kParallelDemanders = 16384;
 
 }  // namespace
 

@@ -249,9 +249,9 @@ void daemon::run_one_round() {
   gen_.set_rate_scale(scenario_rate_scale(config_.scenario, r));
   apply_churn(r);
 
-  gen_.round_into(start, dur, batch_);
-  delivery_.deliver_round(cluster_, batch_, clock_, end);
-  delivered_ += batch_.size();
+  gen_.round_lanes(start, dur, lanes_);
+  delivery_.deliver_round(cluster_, lanes_, clock_, end);
+  delivered_ += lanes_.requests.size();
   clock_ = end;
 
   const auto services =

@@ -5,18 +5,22 @@
 //
 //   1. scenario: set the round's arrival-rate multiplier (diurnal cycle,
 //      flash crowds — simrun/scenario.h) and apply seller churn events;
-//   2. simulate: generate the round's request batch (a serial pass over
-//      the rng stream, then parallel passes that finish the draws and
-//      sort the batch by arrival time — workload/generator.h) and deliver
-//      it per service (simrun/delivery.h): each pool worker owns a
-//      contiguous range of microservices, reads the whole batch in time
-//      order, advances each of its services lazily to each of its
-//      arrivals and enqueues it, then advances them to the round boundary.
-//      Every queue sees exactly what a single DES stream over the batch
+//   2. simulate: generate the round lane-major, each microservice's
+//      arrivals contiguous and in arrival order (a serial count walk over
+//      the rng stream, then a parallel replay that writes every request
+//      into its lane slot and a parallel per-lane sort —
+//      workload/generator.h), and deliver it per service
+//      (simrun/delivery.h): each pool worker owns a contiguous range of
+//      microservices and walks only their lanes, advancing each service
+//      lazily to each of its arrivals and serving the lane in place, then
+//      advancing it to the round boundary; lanes that still hold
+//      unserved requests are closed on the daemon thread, which copies
+//      those requests into the services' own queues. Every queue sees
+//      exactly what a single DES stream over the time-sorted batch
 //      (des::simulator::schedule_stream, kept as the reference path in
 //      perfbench's replica) would give it, so results do not depend on
 //      the thread count. All fan-out goes through thread_pool::shared(),
-//      and batches below each pass's size grain run inline; the daemon
+//      and rounds below each pass's size grain run inline; the daemon
 //      creates no thread;
 //   3. observe: close each microservice's round directly into the demand
 //      estimator's streaming path (demand::estimator::observe — no
@@ -31,11 +35,14 @@
 //      coverage minus deficits plus spillover awards) become its service
 //      rate for the next round — allocation = base + per_unit · granted.
 //
-// Steady state is allocation-free and rebuild-free: the batch and sort
-// buffers, estimator history, ingest accumulators, shard warm-start
-// caches and spillover pools all reuse their storage, so the per-round
-// observe → estimate → ingest → auction chain performs zero heap
-// allocations once warm (bench/daemon_throughput.cc gates this).
+// Steady state is allocation-free and rebuild-free: the lanes and the
+// generator's and sorter's scratch, estimator history, ingest
+// accumulators, shard warm-start caches and spillover pools all reuse
+// their storage. Generation and delivery allocate nothing once warm
+// unless requests carry over into the next round (their copies go to the
+// services' own queues), and the per-round observe → estimate → ingest
+// chain performs zero heap allocations (bench/daemon_throughput.cc gates
+// this).
 //
 // Checkpoint/restore: save() at any round boundary captures the complete
 // dynamic state (generator rng, per-microservice queues with exact FP
@@ -174,7 +181,7 @@ class daemon {
   std::vector<std::uint32_t> seller_counts_;  // per region
   std::vector<std::uint32_t> population_;     // per microservice, static
   // Round-scoped buffers, reused so steady-state rounds do not allocate.
-  std::vector<workload::request> batch_;
+  workload::request_lanes lanes_;
   std::vector<double> estimates_;
   std::vector<auction::units> granted_;
   market::marketplace_round market_out_;

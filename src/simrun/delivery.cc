@@ -8,88 +8,81 @@
 namespace ecrs::simrun {
 namespace {
 
-// Doubles between the clock slices of two ranges: one cache line.
-constexpr std::size_t kPad = 64 / sizeof(double);
-
-// Fewest requests that pay for a second range: every range reads the
-// whole batch, so a small batch is delivered by one range, inline.
+// Fewest requests that pay for the fork-join: a smaller round is
+// delivered by one range, inline.
 constexpr std::size_t kMinBatch = 8192;
 
 }  // namespace
 
 void batch_delivery::deliver_round(edge::cluster& cluster,
-                                   std::span<const workload::request> batch,
+                                   const workload::request_lanes& lanes,
                                    double clock, double end) {
   ECRS_CHECK_MSG(end >= clock, "round end before the service clocks");
-  if (!batch.empty()) {
-    ECRS_CHECK_MSG(batch.front().arrival_time >= clock,
-                   "arrival before the service clocks: "
-                       << batch.front().arrival_time << " < " << clock);
-    ECRS_CHECK_MSG(batch.back().arrival_time <= end,
-                   "arrivals leaked past the round boundary");
-  }
   const auto services =
       static_cast<std::uint32_t>(cluster.microservice_count());
+  ECRS_CHECK_MSG(lanes.lane_count() == services,
+                 lanes.lane_count() << " lanes for " << services
+                                    << " microservices");
   const std::size_t width =
-      batch.size() < kMinBatch
+      lanes.requests.size() < kMinBatch
           ? 1
           : std::min<std::size_t>(services, thread_pool::shared().size());
-  if (clocks_.size() < services + width * kPad) {
-    clocks_.resize(services + width * kPad);
-  }
+  if (carried_.size() < services) carried_.resize(services);
+  if (carried_count_.size() < width) carried_count_.resize(width);
+  const auto first = [&](std::size_t k) {
+    return static_cast<std::uint32_t>(k * services / width);
+  };
   const auto deliver_share = [&](std::size_t k) {
-    const auto lo = static_cast<std::uint32_t>(k * services / width);
-    const auto hi = static_cast<std::uint32_t>((k + 1) * services / width);
-    deliver_range(cluster, batch, lo, hi, clocks_.data() + lo + k * kPad,
-                  clock, end);
+    carried_count_[k] = deliver_lanes(cluster, lanes, first(k), first(k + 1),
+                                      clock, end, carried_.data() + first(k));
   };
   if (width == 1) {
     deliver_share(0);
   } else {
     thread_pool::shared().parallel_for(width, deliver_share);
   }
+  // Closing copies a lane's unserved entries into its service's own
+  // queue, so it runs here, on the calling thread.
+  for (std::size_t k = 0; k < width; ++k) {
+    for (std::uint32_t i = 0; i < carried_count_[k]; ++i) {
+      cluster.service(carried_[first(k) + i]).close_lane();
+    }
+  }
 }
 
-void batch_delivery::deliver_range(edge::cluster& cluster,
-                                   std::span<const workload::request> batch,
-                                   std::uint32_t lo, std::uint32_t hi,
-                                   double* clocks, double clock, double end) {
-  const auto services =
-      static_cast<std::uint32_t>(cluster.microservice_count());
-  const std::uint32_t width = hi - lo;
-  std::fill(clocks, clocks + width, clock);
-  // The batch is scanned in blocks: a branch-free pass lists the block's
-  // requests for this range (a range owns ~1/ranges of them at random, so
-  // testing each one in a branch mispredicts often), then those are
-  // delivered in order.
-  constexpr std::size_t kBlock = 256;
-  std::uint16_t own[kBlock];
-  bool unknown = false;
-  for (std::size_t base = 0; base < batch.size(); base += kBlock) {
-    const std::size_t n = std::min(kBlock, batch.size() - base);
-    std::size_t count = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t m = batch[base + i].microservice;
-      own[count] = static_cast<std::uint16_t>(i);
-      count += m - lo < width ? 1 : 0;
-      unknown |= m >= services;
+std::uint32_t batch_delivery::deliver_lanes(
+    edge::cluster& cluster, const workload::request_lanes& lanes,
+    std::uint32_t lo, std::uint32_t hi, double clock, double end,
+    std::uint32_t* carried) {
+  std::uint32_t count = 0;
+  for (std::uint32_t m = lo; m < hi; ++m) {
+    const std::span<const workload::request> lane = lanes.lane(m);
+    if (!lane.empty()) {
+      ECRS_CHECK_MSG(lane.front().arrival_time >= clock,
+                     "arrival before the service clocks: "
+                         << lane.front().arrival_time << " < " << clock);
+      ECRS_CHECK_MSG(lane.back().arrival_time <= end,
+                     "arrivals leaked past the round boundary");
     }
-    for (std::size_t k = 0; k < count; ++k) {
-      const workload::request& r = batch[base + own[k]];
-      edge::microservice& svc = cluster.service(r.microservice);
-      double& mark = clocks[r.microservice - lo];
+    edge::microservice& svc = cluster.service(m);
+    svc.open_lane(lane);
+    double mark = clock;
+    for (const workload::request& r : lane) {
       if (r.arrival_time > mark) {
         svc.advance(mark, r.arrival_time - mark);
         mark = r.arrival_time;
       }
-      svc.enqueue(r);
+      svc.admit_next();
+    }
+    if (end > mark) svc.advance(mark, end - mark);
+    // A drained lane copies nothing when it closes, so it closes here.
+    if (svc.lane_drained()) {
+      svc.close_lane();
+    } else {
+      carried[count++] = m;
     }
   }
-  ECRS_CHECK_MSG(!unknown, "request for an unknown microservice");
-  for (std::uint32_t m = lo; m < hi; ++m) {
-    const double mark = clocks[m - lo];
-    if (end > mark) cluster.service(m).advance(mark, end - mark);
-  }
+  return count;
 }
 
 void des_delivery::deliver_round(edge::cluster& cluster,

@@ -6,7 +6,9 @@
 // Service demands are exponential around a configurable mean.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/checkpoint.h"
@@ -52,15 +54,25 @@ struct generator_config {
 // outside the window) are ordered by the insertion sort alone, which is
 // quadratic in their number.
 //
+// sort_lanes sorts each lane of a lane-major batch (request_lanes) on its
+// own, by level 2 alone: a lane is one coarse bucket spanning the window.
+// Contiguous runs of lanes, split at equal request counts, sort in
+// parallel.
+//
 // Scratch: a 2-byte key per slot of the batch's capacity plus, per run,
-// its slice's bucket counts and one coarse bucket with its fine counters;
-// it grows on demand and never shrinks, so sorting batches no larger than
-// earlier ones allocates nothing.
+// its slice's bucket counts and one coarse bucket (or lane) with its fine
+// counters; it grows on demand and never shrinks, so sorting batches no
+// larger than earlier ones allocates nothing.
 class arrival_sorter {
  public:
   // Requires window_length > 0.
   void sort(std::vector<request>& batch, double window_start,
             double window_length);
+  // Sorts requests[offsets[m], offsets[m + 1]) for every lane m; `offsets`
+  // ends at requests.size(). Requires window_length > 0.
+  void sort_lanes(std::vector<request>& requests,
+                  std::span<const std::size_t> offsets, double window_start,
+                  double window_length);
 
  private:
   // One run's scratch: its batch slice's coarse bucket counts, then the
@@ -105,14 +117,26 @@ class generator final : public round_source {
                                            double duration);
 
   // Same stream of requests, written into a caller-owned buffer: `batch` is
-  // cleared, reserved from expected_arrivals_per_round(), and refilled, so
-  // a driver that reuses one buffer pays no allocation in steady state.
-  // A serial pass consumes the rng stream and parks each request's raw
-  // words in its own slots; a parallel pass finishes them in place; then
-  // the batch is sorted (DESIGN.md section 14). Large batches fan out
-  // over thread_pool::shared(); the output is the same at any width.
+  // reserved from expected_arrivals_per_round() and refilled, so a driver
+  // that reuses one buffer pays no allocation in steady state. The round
+  // is generated lane-major (see round_lanes), then sorted into
+  // arrives_before order by arrival_sorter::sort.
   void round_into(double round_start, double duration,
                   std::vector<request>& batch) override;
+
+  // The same round, lane-major: lane m holds the requests round_into
+  // would emit for microservice m, ids included, in the same order. Both
+  // calls consume the rng stream identically. Generation (DESIGN.md
+  // section 14): a serial count walk consumes the stream, writes no
+  // request, snapshots the rng at chunk boundaries (whole users) and
+  // counts each chunk's requests per lane; a prefix sum gives each chunk
+  // its cursor in every lane; the chunks are replayed from their
+  // snapshots in parallel, each request written straight into its lane
+  // slot; then every lane is sorted (arrival_sorter::sort_lanes). Large
+  // rounds fan out over thread_pool::shared(); the output is the same at
+  // any width. `lanes` reuses its storage across calls.
+  void round_lanes(double round_start, double duration,
+                   request_lanes& lanes);
 
   // Total expected arrivals per round across all users (sanity metric).
   [[nodiscard]] double expected_arrivals_per_round() const;
@@ -142,7 +166,20 @@ class generator final : public round_source {
   // one uniform draw instead of rejection sampling the full id space.
   std::vector<std::uint32_t> sensitive_ids_;
   std::vector<std::uint32_t> tolerant_ids_;
+  // Generates the round lane-major into `out`, lane m at
+  // out[offsets[m], offsets[m + 1]) in stream order (not yet sorted).
+  void fill_lanes(double round_start, double duration,
+                  std::vector<request>& out,
+                  std::vector<std::size_t>& offsets);
+
   arrival_sorter sorter_;
+  // fill_lanes scratch, reused across rounds: the rng state and first
+  // stream index at each chunk's start, the (chunk, lane) counts that
+  // become cursors, and round_into's lane offsets.
+  std::vector<std::array<std::uint64_t, 4>> snapshots_;
+  std::vector<std::size_t> chunk_first_;
+  std::vector<std::uint32_t> cursors_;
+  std::vector<std::size_t> offsets_;
 };
 
 }  // namespace ecrs::workload

@@ -1,8 +1,11 @@
 // Request model shared by the workload generator and the edge simulation.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <vector>
 
 namespace ecrs::workload {
 
@@ -36,5 +39,23 @@ struct request {
   if (a.qos != b.qos) return a.qos < b.qos;
   return a.id < b.id;
 }
+
+// One round's requests, lane-major: lane m holds microservice m's arrivals
+// in arrives_before order, and the lanes lie back to back in one buffer.
+// Partitioning a time-sorted batch stably by microservice gives the same
+// requests in the same order.
+struct request_lanes {
+  std::vector<request> requests;
+  // Lane m is requests[offsets[m], offsets[m + 1]); one entry per lane
+  // plus the end.
+  std::vector<std::size_t> offsets;
+
+  [[nodiscard]] std::size_t lane_count() const {
+    return offsets.empty() ? 0 : offsets.size() - 1;
+  }
+  [[nodiscard]] std::span<const request> lane(std::size_t m) const {
+    return {requests.data() + offsets[m], offsets[m + 1] - offsets[m]};
+  }
+};
 
 }  // namespace ecrs::workload

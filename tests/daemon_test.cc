@@ -21,6 +21,10 @@
 #include "simrun/daemon.h"
 #include "simrun/delivery.h"
 
+namespace ecrs::test_support {
+std::uint64_t allocations_now();  // tests/alloc_counter.cc
+}  // namespace ecrs::test_support
+
 namespace ecrs::simrun {
 namespace {
 
@@ -246,10 +250,11 @@ std::vector<std::uint8_t> cluster_bytes(const edge::cluster& c) {
   return {w.payload().begin(), w.payload().end()};
 }
 
-// batch_delivery against the single-stream DES delivery it replaced (the
-// reference path perfbench's replica keeps): at the daemon's size, with a
-// 3x flash round, both clusters hold the same bytes — queues, partial
-// service and every accumulator — after every round.
+// batch_delivery over the round's lanes against the single-stream DES
+// delivery of the time-sorted batch (the reference path perfbench's
+// replica keeps): at the daemon's size, with a 3x flash round, both
+// clusters hold the same bytes — queues, partial service and every
+// accumulator — after every round.
 TEST(Delivery, FanOutMatchesDesStreamBitForBit) {
   workload::generator_config cfg;
   cfg.users = 6667;
@@ -272,17 +277,22 @@ TEST(Delivery, FanOutMatchesDesStreamBitForBit) {
     fanned.service(m).set_allocation(4.0 + 0.1 * m);
     streamed.service(m).set_allocation(4.0 + 0.1 * m);
   }
+  // The twin generator draws the same stream as the time-sorted batch.
+  workload::generator twin(cfg);
   simrun::batch_delivery delivery;
   simrun::des_delivery reference;
+  workload::request_lanes lanes;
   std::vector<workload::request> batch;
   for (std::uint64_t round = 1; round <= 4; ++round) {
     const double start = static_cast<double>(round - 1) * 600.0;
     const double end = static_cast<double>(round) * 600.0;
     gen.set_rate_scale(round == 2 ? 3.0 : 1.0);
-    gen.round_into(start, 600.0, batch);
+    twin.set_rate_scale(round == 2 ? 3.0 : 1.0);
+    gen.round_lanes(start, 600.0, lanes);
+    twin.round_into(start, 600.0, batch);
     ASSERT_GT(batch.size(), 90000u);
 
-    delivery.deliver_round(fanned, batch, start, end);
+    delivery.deliver_round(fanned, lanes, start, end);
     reference.deliver_round(streamed, batch, start, end);
     ASSERT_EQ(cluster_bytes(fanned), cluster_bytes(streamed))
         << "round " << round;
@@ -290,6 +300,78 @@ TEST(Delivery, FanOutMatchesDesStreamBitForBit) {
     (void)streamed.end_round(round, 600.0);
   }
   EXPECT_GT(fanned.service(0).queue_length(), 0u);
+}
+
+// A warm steady-size round's generation and lane delivery allocate
+// nothing when no request carries over: the lanes and every scratch
+// buffer are reused, requests are served in place, and no service queue
+// grows. The warm-up starts with a 3x flash round, which sizes each
+// buffer above what a steady round needs (a buffer grows only when a
+// round exceeds every earlier one).
+TEST(Delivery, WarmLaneRoundAllocatesNothing) {
+  workload::generator_config cfg;
+  cfg.users = 6667;
+  cfg.microservices = 32;
+  cfg.sensitive_mean = 7.5;
+  cfg.tolerant_mean = 7.5;
+  cfg.regions = 8;
+  cfg.seed = 12;
+  workload::generator gen(cfg);
+  std::vector<workload::qos_class> qos;
+  for (std::uint32_t m = 0; m < cfg.microservices; ++m) {
+    qos.push_back(gen.class_of(m));
+  }
+  edge::cluster_config ccfg;
+  ccfg.clouds = 8;
+  edge::cluster cluster(ccfg, qos);
+  for (std::uint32_t m = 0; m < cfg.microservices; ++m) {
+    cluster.service(m).set_allocation(1e9);  // every request done at once
+  }
+  simrun::batch_delivery delivery;
+  workload::request_lanes lanes;
+  for (std::uint64_t round = 1; round <= 5; ++round) {
+    const double start = static_cast<double>(round - 1) * 600.0;
+    const double end = static_cast<double>(round) * 600.0;
+    gen.set_rate_scale(round == 1 ? 3.0 : 1.0);
+    const std::uint64_t before = test_support::allocations_now();
+    gen.round_lanes(start, 600.0, lanes);
+    delivery.deliver_round(cluster, lanes, start, end);
+    const std::uint64_t allocations = test_support::allocations_now() - before;
+    ASSERT_GT(lanes.requests.size(), 90000u);
+    for (std::uint32_t m = 0; m < cfg.microservices; ++m) {
+      ASSERT_EQ(cluster.service(m).queue_length(), 0u) << "service " << m;
+      (void)cluster.service(m).end_round(round, 600.0, 1);
+    }
+    if (round == 1) {
+      EXPECT_GT(allocations, 0u);  // the counter sees the cold round
+    } else {
+      EXPECT_EQ(allocations, 0u) << "round " << round;
+    }
+  }
+}
+
+TEST(Delivery, RejectsLanesThatDoNotFitTheRound) {
+  const std::vector<workload::qos_class> qos(
+      3, workload::qos_class::delay_sensitive);
+  edge::cluster cluster(edge::cluster_config{}, qos);
+  simrun::batch_delivery delivery;
+  workload::request_lanes lanes;
+  lanes.requests.resize(1);
+  lanes.requests[0].microservice = 1;
+  lanes.offsets = {0, 0, 1};  // two lanes for three services
+  EXPECT_THROW(delivery.deliver_round(cluster, lanes, 0.0, 10.0),
+               check_error);
+  lanes.offsets = {0, 0, 1, 1};
+  for (const double t : {-1.0, 11.0}) {
+    lanes.requests[0].arrival_time = t;
+    EXPECT_THROW(delivery.deliver_round(cluster, lanes, 0.0, 10.0),
+                 check_error)
+        << "arrival at " << t;
+    EXPECT_EQ(cluster.service(1).queue_length(), 0u);
+  }
+  lanes.requests[0].arrival_time = 4.0;
+  delivery.deliver_round(cluster, lanes, 0.0, 10.0);
+  EXPECT_EQ(cluster.service(1).total_received(), 1u);
 }
 
 TEST(Daemon, CheckpointResumeByteIdenticalAtEveryRoundBoundary) {

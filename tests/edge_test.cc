@@ -340,6 +340,124 @@ TEST(Microservice, CheckpointRestoresQueueMidService) {
   EXPECT_THROW(other.load(again), check_error);
 }
 
+// ------------------------------------------------------------ lane service
+
+std::vector<std::uint8_t> save_bytes(const microservice& svc) {
+  ecrs::checkpoint_writer w;
+  svc.save(w);
+  return {w.payload().begin(), w.payload().end()};
+}
+
+// Twin services fed the same rounds, one through enqueue() and one through
+// a borrowed lane, each advanced to every arrival and then to the round
+// end: their round stats, backlog, queue length and checkpoint bytes agree
+// bit for bit after every round. Each round's arrivals lie in
+// [r * length, (r + 1) * length), in arrival order.
+void expect_lane_matches_enqueue(
+    double allocation,
+    const std::vector<std::vector<workload::request>>& rounds,
+    double length) {
+  microservice copied(0, workload::qos_class::delay_tolerant);
+  microservice laned(0, workload::qos_class::delay_tolerant);
+  copied.set_allocation(allocation);
+  laned.set_allocation(allocation);
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    SCOPED_TRACE(testing::Message() << "round " << r + 1);
+    const double start = static_cast<double>(r) * length;
+    const double end = static_cast<double>(r + 1) * length;
+    double copied_mark = start;
+    double laned_mark = start;
+    laned.open_lane(rounds[r]);
+    for (const workload::request& q : rounds[r]) {
+      if (q.arrival_time > copied_mark) {
+        copied.advance(copied_mark, q.arrival_time - copied_mark);
+        laned.advance(laned_mark, q.arrival_time - laned_mark);
+        copied_mark = laned_mark = q.arrival_time;
+      }
+      copied.enqueue(q);
+      laned.admit_next();
+      ASSERT_EQ(laned.queue_length(), copied.queue_length());
+      ASSERT_EQ(laned.backlog_work(), copied.backlog_work());
+    }
+    copied.advance(copied_mark, end - copied_mark);
+    laned.advance(laned_mark, end - laned_mark);
+    EXPECT_EQ(laned.queue_length(), copied.queue_length());
+    EXPECT_EQ(laned.backlog_work(), copied.backlog_work());
+    laned.close_lane();
+    EXPECT_EQ(laned.queue_length(), copied.queue_length());
+    EXPECT_EQ(laned.backlog_work(), copied.backlog_work());
+    expect_same_stats(laned.end_round(r + 1, length, 1),
+                      copied.end_round(r + 1, length, 1));
+    EXPECT_EQ(save_bytes(laned), save_bytes(copied));
+  }
+}
+
+// `count` arrivals per round, spread over each round of `length` seconds,
+// with demands cycling through `demands`.
+std::vector<std::vector<workload::request>> lane_rounds(
+    std::size_t rounds, std::size_t count, double length,
+    std::initializer_list<double> demands) {
+  std::vector<std::vector<workload::request>> out(rounds);
+  std::size_t k = 0;
+  for (std::size_t r = 0; r < rounds; ++r) {
+    for (std::size_t i = 0; i < count; ++i, ++k) {
+      const double t = (static_cast<double>(r) +
+                        static_cast<double>(i) / static_cast<double>(count)) *
+                       length;
+      out[r].push_back(make_request(0, t, demands.begin()[k % demands.size()]));
+    }
+  }
+  return out;
+}
+
+TEST(MicroserviceLane, MatchesEnqueueAtZeroAllocation) {
+  // Nothing is served: every lane entry moves to the owned queue.
+  expect_lane_matches_enqueue(0.0, lane_rounds(3, 5, 10.0, {1.0, 2.5}), 10.0);
+}
+
+TEST(MicroserviceLane, MatchesEnqueueWithAPartlyServedHeadAcrossRounds) {
+  // One 7-second request per 10-second round at rate 0.5: the lane's head
+  // is partly served when the round closes and finishes in the next.
+  expect_lane_matches_enqueue(0.5, lane_rounds(4, 1, 10.0, {7.0}), 10.0);
+}
+
+TEST(MicroserviceLane, MatchesEnqueueBehindAnOwnedBacklog) {
+  // ~1.6x overload: each round's lane queues behind the carried backlog,
+  // whose head is itself partly served; a drained round ends the run.
+  std::vector<std::vector<workload::request>> rounds =
+      lane_rounds(4, 8, 10.0, {1.5, 0.25, 3.0, 0.7});
+  rounds.push_back({});
+  expect_lane_matches_enqueue(1.0, rounds, 10.0);
+}
+
+TEST(MicroserviceLane, MatchesEnqueueWhenTheLaneDrains) {
+  expect_lane_matches_enqueue(50.0, lane_rounds(3, 20, 10.0, {0.3, 1.1}),
+                              10.0);
+}
+
+TEST(MicroserviceLane, GuardsTheBorrowedLane) {
+  microservice svc(0, workload::qos_class::delay_sensitive);
+  const std::vector<workload::request> lane = {make_request(0, 0.0, 1.0),
+                                               make_request(0, 0.5, 1.0)};
+  EXPECT_THROW(svc.admit_next(), check_error);
+  EXPECT_THROW(svc.close_lane(), check_error);
+  svc.open_lane(lane);
+  EXPECT_THROW(svc.open_lane(lane), check_error);
+  EXPECT_THROW(svc.enqueue(make_request(0, 0.0, 1.0)), check_error);
+  ecrs::checkpoint_writer w;
+  EXPECT_THROW(svc.save(w), check_error);
+  svc.admit_next();
+  EXPECT_THROW(svc.close_lane(), check_error);  // one entry not admitted
+  svc.admit_next();
+  EXPECT_THROW(svc.admit_next(), check_error);
+  svc.close_lane();
+  EXPECT_EQ(svc.queue_length(), 2u);
+  svc.save(w);
+  const std::vector<workload::request> misrouted = {make_request(1, 0.0, 1.0)};
+  svc.open_lane(misrouted);
+  EXPECT_THROW(svc.admit_next(), check_error);
+}
+
 TEST(Cluster, CheckpointRoundTripMatchesStraightRun) {
   cluster_config cfg;
   cfg.clouds = 3;

@@ -550,5 +550,119 @@ TEST(Generator, GoldenStreamDigest) {
   EXPECT_EQ(ecrs::fnv1a64(w.payload()), 0x021ce19ebdd4a8faULL);
 }
 
+std::vector<std::uint8_t> state_of(const generator& g) {
+  ecrs::checkpoint_writer w;
+  g.save(w);
+  return {w.payload().begin(), w.payload().end()};
+}
+
+// round_lanes against round_into on twin generators, round after round:
+// the lanes are the stable partition by microservice of the time-sorted
+// batch, ids included, and both generators end every round in the same
+// saved state.
+void expect_lanes_match_round_into(const generator_config& cfg,
+                                   std::initializer_list<double> scales) {
+  generator sorted(cfg);
+  generator laned(cfg);
+  std::vector<request> batch;
+  request_lanes lanes;
+  double start = 0.0;
+  for (const double scale : scales) {
+    SCOPED_TRACE(testing::Message() << "rate scale " << scale);
+    sorted.set_rate_scale(scale);
+    laned.set_rate_scale(scale);
+    sorted.round_into(start, 600.0, batch);
+    laned.round_lanes(start, 600.0, lanes);
+    start += 600.0;
+
+    std::vector<request> expected = batch;
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const request& a, const request& b) {
+                       return a.microservice < b.microservice;
+                     });
+    EXPECT_EQ(bytes_of(lanes.requests), bytes_of(expected));
+    ASSERT_EQ(lanes.lane_count(), cfg.microservices);
+    EXPECT_EQ(lanes.offsets.front(), 0u);
+    EXPECT_EQ(lanes.offsets.back(), lanes.requests.size());
+    for (std::uint32_t m = 0; m < cfg.microservices; ++m) {
+      for (const request& r : lanes.lane(m)) ASSERT_EQ(r.microservice, m);
+    }
+    EXPECT_EQ(state_of(laned), state_of(sorted));
+  }
+}
+
+TEST(GeneratorLanes, MatchRoundIntoAtSteadyAndFlashSizes) {
+  expect_lanes_match_round_into(large_config(), {1.0, 3.0, 0.0, 1.0});
+}
+
+TEST(GeneratorLanes, MatchRoundIntoBelowTheFanOutGrain) {
+  generator_config cfg;
+  cfg.users = 120;  // ~1800 requests: one chunk, generated inline
+  cfg.microservices = 9;
+  cfg.seed = 8;
+  expect_lanes_match_round_into(cfg, {1.0, 2.0});
+}
+
+TEST(GeneratorLanes, MatchRoundIntoWithFewerUsersThanChunks) {
+  generator_config cfg;
+  cfg.users = 3;  // ~27000 requests from 3 users: 3 chunks at most
+  cfg.microservices = 11;
+  cfg.sensitive_mean = 3000.0;
+  cfg.tolerant_mean = 6000.0;
+  cfg.seed = 21;
+  expect_lanes_match_round_into(cfg, {1.0, 3.0});
+}
+
+TEST(GeneratorLanes, MatchRoundIntoWhenAClassIsEmpty) {
+  for (const double fraction : {0.0, 1.0}) {
+    SCOPED_TRACE(testing::Message() << "sensitive fraction " << fraction);
+    generator_config cfg = large_config();
+    cfg.delay_sensitive_fraction = fraction;
+    expect_lanes_match_round_into(cfg, {1.0});
+  }
+}
+
+TEST(GeneratorLanes, MatchRoundIntoWithManyLanes) {
+  // More services than requests, as in perfbench's wide_market: the
+  // (chunk, lane) counters cap the chunk count.
+  generator_config cfg;
+  cfg.users = 2000;
+  cfg.microservices = 100000;
+  cfg.regions = 100;
+  cfg.seed = 4;
+  expect_lanes_match_round_into(cfg, {1.0, 3.0});
+}
+
+TEST(ArrivalSorter, SortLanesMatchesStdSortPerLane) {
+  ecrs::rng draw(17);
+  std::vector<request> requests(5000);
+  std::vector<std::size_t> offsets = {0};
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    requests[i].id = i + 1;
+    requests[i].qos = draw.bernoulli(0.5) ? qos_class::delay_sensitive
+                                          : qos_class::delay_tolerant;
+    // Coarse times so that ties exercise the qos and id tie-breaks.
+    requests[i].arrival_time =
+        static_cast<double>(draw.uniform_int(0, 400)) * 0.25;
+  }
+  for (const std::size_t cut : {std::size_t{0}, std::size_t{1},
+                                std::size_t{700}, std::size_t{701},
+                                std::size_t{4999}, std::size_t{5000}}) {
+    offsets.push_back(cut);
+  }
+  std::vector<request> expected = requests;
+  for (std::size_t m = 0; m + 1 < offsets.size(); ++m) {
+    std::sort(expected.begin() + static_cast<std::ptrdiff_t>(offsets[m]),
+              expected.begin() + static_cast<std::ptrdiff_t>(offsets[m + 1]),
+              arrives_before);
+  }
+  arrival_sorter sorter;
+  sorter.sort_lanes(requests, offsets, 0.0, 100.0);
+  EXPECT_EQ(bytes_of(requests), bytes_of(expected));
+  EXPECT_THROW(sorter.sort_lanes(requests, offsets, 0.0, 0.0), check_error);
+  offsets.back() = 4000;
+  EXPECT_THROW(sorter.sort_lanes(requests, offsets, 0.0, 100.0), check_error);
+}
+
 }  // namespace
 }  // namespace ecrs::workload

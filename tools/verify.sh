@@ -99,11 +99,12 @@ cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "$JOBS"
 # The stress harness iterates pool sizes {1, 2, hardware_concurrency}
 # internally (tests/concurrency_stress_test.cc); the companion suites cover
-# the parallel SSAM payment fan-out and the generator's parallel passes end
-# to end. halt_on_error: any report fails the stage.
+# the parallel SSAM payment fan-out, the generator's parallel passes, the
+# sharded marketplace and the daemon's lane delivery end to end — the same
+# set as CI's tsan job. halt_on_error: any report fails the stage.
 TSAN_OPTIONS="halt_on_error=1${TSAN_OPTIONS:+ $TSAN_OPTIONS}" \
   ctest --preset tsan -j "$JOBS" \
-    -R 'concurrency_stress_test|common_test|workload_test|ssam_test|msoa_test|properties_test|audit_test'
+    -R 'concurrency_stress_test|sweep_test|market_test|daemon_test|common_test|workload_test|ssam_test|msoa_test|properties_test|audit_test|compiled_test|compiled_fuzz_test'
 
 echo "== stage 5/5: lint + format =="
 lint_stage
